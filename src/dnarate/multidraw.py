@@ -118,10 +118,11 @@ def _capacity_cached(d, p):
         + (d - i) * math.log1p(-p)
     )
     b = np.exp(log_b)
-    rev = b[::-1]
-    # Summands with b = 0 (far-tail underflow) contribute nothing; routing
-    # them through ratio 1 keeps log2 finite.
-    ratio = np.where(b > 0.0, b / (b + rev), 1.0)
+    # Summands with b = 0 (far-tail underflow) contribute nothing; their
+    # ratio is left at 1, so neither 0/0 nor log2(0) is ever evaluated.
+    pos = b > 0.0
+    ratio = np.ones_like(b)
+    ratio[pos] = b[pos] / (b[pos] + b[::-1][pos])
     val = 1.0 + float(np.dot(b, np.log2(ratio)))
     return min(max(val, 0.0), 1.0)
 

@@ -11,11 +11,13 @@ supremum over index rates, and a grid optimizer for scheme parameters.
 """
 
 import math
+import numbers
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+from scipy.special import gammaln, pdtrc
 
 from .multidraw import (
     binary_entropy,
@@ -51,12 +53,15 @@ __all__ = [
 # Samples per RNG substream chunk; partial counts are combined in chunk order,
 # so estimates are identical for any worker count.
 MC_CHUNK = 65536
-# Uniform variates held in memory at once when drawing Poisson vectors.
-_SUB_ELEMS = 1 << 22
-# Hard ceiling on exactly enumerated draw vectors.
+# Upper-tail mass P(X > d) at which a Poisson table is cut.
+_TABLE_TAIL = 1e-16
+# Histogram cells drawn at once within a chunk; only tables wider than
+# 2^22 / MC_CHUNK = 64 entries (c above 18) split a chunk into batches.
+_HIST_CELLS = 1 << 22
+# Hard ceiling on exactly enumerated draws, counted as ordered draw vectors.
 ENUM_CAP = 10**8
-# "auto" method switches to Monte-Carlo above this; the full ENUM_CAP is only
-# honoured when exact evaluation is requested explicitly.
+# "auto" method switches to Monte-Carlo above this many ordered draw vectors;
+# the full ENUM_CAP is only honoured when exact evaluation is requested.
 AUTO_EXACT_VECTORS = 4_000_000
 
 
@@ -74,8 +79,8 @@ class ChannelParams:
     p: float
 
     def __post_init__(self):
-        if not self.c > 0:
-            raise ValueError(f"c must be positive, got {self.c!r}")
+        if not (self.c > 0 and math.isfinite(self.c)):
+            raise ValueError(f"c must be positive and finite, got {self.c!r}")
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta must be in (0, 1), got {self.beta!r}")
         check_crossover(self.p)
@@ -91,7 +96,8 @@ class SchemeParams:
     r_out: float
 
     def __post_init__(self):
-        if int(self.K) != self.K or self.K < 1:
+        integral = isinstance(self.K, numbers.Integral) and not isinstance(self.K, bool)
+        if not integral or self.K < 1:
             raise ValueError(f"K must be a positive integer, got {self.K!r}")
         if not 0.0 < self.r_ix < 1.0:
             raise ValueError(f"r_ix must be in (0, 1), got {self.r_ix!r}")
@@ -123,7 +129,8 @@ class RateEstimate:
 
 @dataclass(frozen=True)
 class RMaxResult:
-    """Supremum of the large-K rate over index rates, and where it is attained."""
+    """Supremum of the large-K rate over index rates, the index rate attaining
+    it, and d_star, the fewest draws whose capacity passes that index gate."""
 
     r_max: float
     d_star: int
@@ -153,25 +160,22 @@ class OptimizeResult:
 
 @lru_cache(maxsize=None)
 def _poisson_tables(c):
-    """(pmf, cdf) arrays of Poisson(c), tabulated until the cdf saturates.
+    """(pmf, cdf) arrays of Poisson(c) on 0 .. d, d the first count whose
+    closed-form upper tail P(X > d) is below 1e-16.
 
-    The last cdf entry is forced to 1.0 so that inversion sampling always
-    lands inside the table; the lumped residual is below float resolution.
+    The last cdf entry is forced to 1.0 so that sampling always lands inside
+    the table; the lumped residual is below float resolution.
     """
     c = float(c)
-    pmf = [math.exp(-c)]
-    cdf = [pmf[0]]
-    d = 0
-    while d < 100_000:
-        d += 1
-        term = math.exp(-c + d * math.log(c) - math.lgamma(d + 1))
-        nxt = min(1.0, cdf[-1] + term)
-        pmf.append(term)
-        cdf.append(nxt)
-        if nxt >= 1.0 or (d > c and term < 1e-20 and 1.0 - nxt < 1e-15):
-            break
+    d_last = int(c)  # no count below the mean has a tail under 1e-16
+    while pdtrc(d_last, c) >= _TABLE_TAIL:
+        d_last += 1
+    pmf = np.array(
+        [math.exp(-c + d * math.log(c) - math.lgamma(d + 1)) for d in range(d_last + 1)]
+    )
+    cdf = np.minimum(np.cumsum(pmf), 1.0)
     cdf[-1] = 1.0
-    return np.array(pmf), np.array(cdf)
+    return pmf, cdf
 
 
 def _tail_cut(cdf, tail_eps):
@@ -228,131 +232,134 @@ def mean_gated_capacity(params, r_ix, tail_eps=1e-12):
 
 
 # ---------------------------------------------------------------------------
-# Achievable outer rate, exact enumeration
+# Draw-count types
+#
+# A block's gated capacity is the mean of its K strands' gated capacities, so
+# it depends only on the histogram of the K draw counts (the block's "type"),
+# not on their order. Exact evaluation enumerates types with their
+# multinomial weights; Monte-Carlo samples them as multinomial histograms.
 
-def _compositions(total, k):
-    """All k-vectors of nonnegative integers summing to exactly total."""
-    if k == 1:
-        return np.array([[total]], dtype=np.int32)
-    parts = []
-    for first in range(total + 1):
-        rest = _compositions(total - first, k - 1)
-        col = np.full((rest.shape[0], 1), first, dtype=np.int32)
-        parts.append(np.hstack([col, rest]))
-    return np.vstack(parts)
+def _map_chunks(fn, n_chunks, threads):
+    """[fn(0), ..., fn(n_chunks - 1)], computed on up to `threads` threads."""
+    if threads > 1 and n_chunks > 1:
+        with ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(n_chunks)))
+    return [fn(i) for i in range(n_chunks)]
 
 
-def _enum_draw_vectors(K, d_max):
-    """Draw vectors with component sum <= d_max, in nondecreasing-total order."""
-    return np.vstack([_compositions(t, K) for t in range(d_max + 1)])
+def _enum_cut(params, K, tail_eps):
+    """Tail cut d_max of a block's total draw count, the number of ordered
+    draw vectors with component sum <= d_max, and the mass beyond the cut."""
+    _, cdf_k = _poisson_tables(K * params.c)
+    d_max = _tail_cut(cdf_k, tail_eps)
+    return d_max, math.comb(d_max + K, K), max(0.0, 1.0 - float(cdf_k[d_max]))
+
+
+def _exact_feasible(params, K, tail_eps, cap):
+    return _enum_cut(params, K, tail_eps)[1] <= cap
 
 
 def _exact_support(params, K, tail_eps, enum_cap):
-    """Enumerated draw vectors, their log-probabilities and the tail mass."""
-    _, cdf_k = _poisson_tables(K * params.c)
-    d_max = _tail_cut(cdf_k, tail_eps)
-    n_vectors = math.comb(d_max + K, K)
+    """Draw-count types below the tail cut, their probabilities and the tail mass.
+
+    Types are the nondecreasing K-tuples with component sum <= d_max, one
+    per histogram; each weighs K! / prod(m_i!) times the product of its
+    Poisson masses, where m_i counts the repeats of each draw value.
+    The cap is counted in ordered vectors, C(d_max + K, K).
+    """
+    d_max, n_vectors, truncation = _enum_cut(params, K, tail_eps)
     if n_vectors > enum_cap:
         raise EnumerationCapError(
             f"exact enumeration needs {n_vectors} draw vectors "
             f"(cap {enum_cap}); use the Monte-Carlo estimator"
         )
-    truncation = max(0.0, 1.0 - float(cdf_k[d_max]))
-    vectors = _enum_draw_vectors(K, d_max)
+    types = np.arange(d_max // K + 1)[:, None]
+    total = types[:, 0].copy()
+    run = np.ones(len(types))  # length of the run of equal values ending each row
+    log_repeats = np.zeros(len(types))  # log prod(m_i!), accumulated run by run
+    for j in range(1, K):
+        last = types[:, -1]
+        # the K - j components still to place are all >= the next value
+        n_next = (d_max - total) // (K - j) - last + 1
+        rows = np.repeat(np.arange(len(types)), n_next)
+        nxt = last[rows] + np.arange(rows.size) - np.repeat(np.cumsum(n_next) - n_next, n_next)
+        run = np.where(nxt == last[rows], run[rows] + 1.0, 1.0)
+        log_repeats = log_repeats[rows] + np.log(run)
+        total = total[rows] + nxt
+        types = np.column_stack([types[rows], nxt])
     d = np.arange(d_max + 1)
-    log_pmf = -params.c + d * math.log(params.c) - np.array(
-        [math.lgamma(x + 1) for x in d]
-    )
-    log_w = log_pmf[vectors].sum(axis=1)
-    return vectors, np.exp(log_w), truncation, d_max
+    log_pmf = -params.c + d * math.log(params.c) - gammaln(d + 1)
+    log_w = math.lgamma(K + 1) - log_repeats + log_pmf[types].sum(axis=1)
+    return types, np.exp(log_w), truncation, d_max
 
+
+def _type_batches(seed, chunk_index, n, K, cdf):
+    """Draw-count histograms of one chunk's n sampled blocks, in row batches.
+
+    Row j counts how many of block j's K i.i.d. draws take each value of the
+    tabulated Poisson law; it is one multinomial draw, so the cost is set by
+    the table's support, not by K. Batching bounds memory for wide tables and
+    leaves the chunk's variate stream unchanged.
+    """
+    rng = substream(seed, "outer-rate-mc", chunk_index)
+    pmf = np.diff(cdf, prepend=0.0)
+    rows = max(1, _HIST_CELLS // pmf.size)
+    for start in range(0, n, rows):
+        yield rng.multinomial(K, pmf, size=min(rows, n - start))
+
+
+def _hist_means(h, gtab, K):
+    """Gated block capacity of each sampled histogram row."""
+    return h @ gtab / K
+
+
+def _chunk_sizes(samples):
+    return [min(MC_CHUNK, samples - s) for s in range(0, samples, MC_CHUNK)]
+
+
+# ---------------------------------------------------------------------------
+# Achievable outer rate
 
 def achievable_outer_rate_exact(params, scheme, tail_eps=1e-12, enum_cap=ENUM_CAP):
-    """Largest supportable outer rate, by exact enumeration of draw vectors.
+    """Largest supportable outer rate, by exact enumeration of draw-count types.
 
-    Sums the joint Poisson mass of every draw vector whose gated block
-    capacity strictly exceeds r_in, over the finite set of vectors with
+    Sums the joint Poisson mass of every block type whose gated block
+    capacity strictly exceeds r_in, over the finite set of types with
     component sum below the certified tail cut. The neglected mass is
     reported as truncation_mass, never silently dropped.
     """
     _check_tail_eps(tail_eps)
-    vectors, weights, truncation, d_max = _exact_support(
+    types, weights, truncation, d_max = _exact_support(
         params, scheme.K, tail_eps, enum_cap
     )
     gtab = gated_capacity_table(params.p, d_max, scheme.r_ix)
-    v = gtab[vectors].mean(axis=1)
+    v = gtab[types].mean(axis=1)
     value = float(weights[v > scheme.r_in].sum())
     return RateEstimate(value, 0.0, "exact", 0, truncation)
-
-
-# ---------------------------------------------------------------------------
-# Achievable outer rate, Monte-Carlo
-
-def _poisson_chunk(rng, cdf, n, K):
-    """Draw an (n, K) matrix of Poisson counts by inversion of the cdf table.
-
-    Sub-batches the uniforms to bound memory; splitting requests along the
-    sample axis does not change the underlying variate stream.
-    """
-    rows = max(1, _SUB_ELEMS // K)
-    out = np.empty((n, K), dtype=np.int64)
-    done = 0
-    while done < n:
-        b = min(rows, n - done)
-        u = rng.random((b, K))
-        out[done : done + b] = np.searchsorted(cdf, u, side="left")
-        done += b
-    return out
-
-
-def _mc_chunk_count(seed, chunk_index, n, K, cdf, gtab, r_in):
-    rng = substream(seed, "outer-rate-mc", chunk_index)
-    d = _poisson_chunk(rng, cdf, n, K)
-    v = gtab[d].mean(axis=1)
-    return int((v > r_in).sum())
-
-
-def _chunk_sizes(samples):
-    sizes = []
-    left = samples
-    while left > 0:
-        take = min(MC_CHUNK, left)
-        sizes.append(take)
-        left -= take
-    return sizes
 
 
 def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
     """Monte-Carlo estimate of the largest supportable outer rate.
 
-    Draws `samples` i.i.d. draw vectors and returns the fraction whose gated
-    block capacity strictly exceeds r_in, with the binomial standard error.
-    Each fixed-size chunk of samples owns its own substream of `seed` and the
-    integer success counts are combined in chunk order, so the estimate is
-    bit-identical for any thread count.
+    Draws `samples` i.i.d. block histograms and returns the fraction whose
+    gated block capacity strictly exceeds r_in, with the binomial standard
+    error. Each fixed-size chunk of samples owns its own substream of `seed`
+    and the integer success counts are combined in chunk order, so the
+    estimate is bit-identical for any thread count.
     """
     if samples < 1:
         raise ValueError(f"samples must be >= 1, got {samples!r}")
     _, cdf = _poisson_tables(params.c)
     gtab = gated_capacity_table(params.p, len(cdf) - 1, scheme.r_ix)
     sizes = _chunk_sizes(samples)
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            counts = list(
-                pool.map(
-                    lambda i: _mc_chunk_count(
-                        seed, i, sizes[i], scheme.K, cdf, gtab, scheme.r_in
-                    ),
-                    range(len(sizes)),
-                )
-            )
-    else:
-        counts = [
-            _mc_chunk_count(seed, i, sizes[i], scheme.K, cdf, gtab, scheme.r_in)
-            for i in range(len(sizes))
-        ]
-    successes = sum(counts)
-    v = successes / samples
+
+    def count(ci):
+        return sum(
+            int((_hist_means(h, gtab, scheme.K) > scheme.r_in).sum())
+            for h in _type_batches(seed, ci, sizes[ci], scheme.K, cdf)
+        )
+
+    v = sum(_map_chunks(count, len(sizes), threads)) / samples
     stderr = math.sqrt(v * (1.0 - v) / samples)
     return RateEstimate(v, stderr, "monte_carlo", samples, 0.0)
 
@@ -393,29 +400,34 @@ def r_max(params, epsilon=1e-3):
     Only index rates just below one of the discrete capacity levels matter,
     so candidates r_ix = (1 - epsilon) * C_d are scanned for d = 1, 2, ...
     until the remaining Poisson tail cannot beat the best value found.
+    d_star is the smallest draw count whose capacity exceeds the chosen
+    r_ix, i.e. the gate's threshold, which may lie below the candidate's d.
     """
     if not 0.0 < epsilon <= 0.1:
         raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon!r}")
     _, cdf = _poisson_tables(params.c)
     best_val = -math.inf
-    best_d = 0
     best_rix = 0.0
-    d_star = 0
-    while d_star < 1000:
-        d_star += 1
-        r_ix = (1.0 - epsilon) * multi_draw_capacity(d_star, params.p)
+    d = 0
+    while d < 1000:
+        d += 1
+        r_ix = (1.0 - epsilon) * multi_draw_capacity(d, params.p)
         if params.beta < r_ix < 1.0:
             val = asymptotic_rate(params, r_ix)
             if val > best_val:
-                best_val, best_d, best_rix = val, d_star, r_ix
-        # Any later candidate is bounded by the tail mass of draws >= d*-1.
-        if d_star >= 2 and best_val > 0:
-            bound = 1.0 - float(cdf[min(d_star - 2, len(cdf) - 1)])
+                best_val, best_rix = val, r_ix
+        # Any later candidate is bounded by the tail mass of draws >= d-1.
+        if d >= 2 and best_val > 0:
+            bound = 1.0 - float(cdf[min(d - 2, len(cdf) - 1)])
             if bound < best_val:
                 break
-    if best_d == 0:
+    if best_rix == 0.0:
         raise ValueError("no feasible index-rate candidate above beta")
-    return RMaxResult(best_val, best_d, best_rix)
+    # The threshold actually gated: the fewest draws whose capacity beats r_ix.
+    d_star = 1
+    while multi_draw_capacity(d_star, params.p) <= best_rix:
+        d_star += 1
+    return RMaxResult(best_val, d_star, best_rix)
 
 
 def gap_to_capacity(params, epsilon=1e-3, tail_eps=1e-12):
@@ -461,29 +473,21 @@ def _sample_count_matrix(params, K, samples, seed, threads=1):
 
     Row j holds how many of sample j's K draws equal each count value; the
     gated block capacity for any index rate is then a single matrix-vector
-    product. Uses the same substreams as achievable_outer_rate_mc.
+    product. The rows are the ones achievable_outer_rate_mc draws from the
+    same seed.
     """
     _, cdf = _poisson_tables(params.c)
-    n_vals = len(cdf)
     dtype = np.uint16 if K < 65536 else np.uint32
-    counts = np.zeros((samples, n_vals), dtype=dtype)
+    counts = np.empty((samples, len(cdf)), dtype=dtype)
     sizes = _chunk_sizes(samples)
 
     def fill(ci):
-        rng = substream(seed, "outer-rate-mc", ci)
-        d = _poisson_chunk(rng, cdf, sizes[ci], K)
-        offs = np.arange(sizes[ci], dtype=np.int64)[:, None] * n_vals
-        flat = np.bincount((d + offs).ravel(), minlength=sizes[ci] * n_vals)
-        counts[ci * MC_CHUNK : ci * MC_CHUNK + sizes[ci]] = flat.reshape(
-            sizes[ci], n_vals
-        )
+        row = ci * MC_CHUNK
+        for h in _type_batches(seed, ci, sizes[ci], K, cdf):
+            counts[row : row + len(h)] = h
+            row += len(h)
 
-    if threads > 1 and len(sizes) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(fill, range(len(sizes))))
-    else:
-        for ci in range(len(sizes)):
-            fill(ci)
+    _map_chunks(fill, len(sizes), threads)
     return counts
 
 
@@ -528,12 +532,6 @@ def _refine(objective, lo, x, hi, steps=16):
     return x, fx
 
 
-def _exact_feasible(params, K, tail_eps, cap):
-    _, cdf_k = _poisson_tables(K * params.c)
-    d_max = _tail_cut(cdf_k, tail_eps)
-    return math.comb(d_max + K, K) <= cap
-
-
 def optimize_scheme(
     params,
     K,
@@ -552,9 +550,10 @@ def optimize_scheme(
     Index-rate candidates are (1 - epsilon) times each capacity level up to
     d_cap. For each candidate the inner rate sweeps a uniform grid on (0, 1)
     followed by one 16-step bracket refinement around the best grid point.
-    The outer rate is evaluated exactly when the enumeration stays small,
-    otherwise by Monte-Carlo with the given sample budget and seed; all
-    candidates reuse the same draws, so the search is deterministic.
+    The outer rate is evaluated exactly over draw-count types when the
+    enumeration stays small, otherwise by Monte-Carlo over sampled block
+    histograms with the given budget and seed; all candidates reuse the same
+    draws, so the search is deterministic.
     """
     if rin_grid < 2:
         raise ValueError(f"rin_grid must be >= 2, got {rin_grid!r}")
@@ -568,14 +567,11 @@ def optimize_scheme(
     )
 
     if use_exact:
-        vectors, weights, truncation, d_max_enum = _exact_support(
+        types, weights, truncation, d_max_tab = _exact_support(
             params, K, tail_eps, enum_cap
         )
-        counts = None
-        d_max_tab = d_max_enum
     else:
         counts = _sample_count_matrix(params, K, samples, seed, threads)
-        truncation = 0.0
         d_max_tab = counts.shape[1] - 1
 
     grid = np.linspace(0.0, 1.0, rin_grid + 2)[1:-1]
@@ -589,11 +585,9 @@ def optimize_scheme(
         factor = 1.0 - params.beta / r_ix
         gtab = gated_capacity_table(params.p, d_max_tab, r_ix)
         if use_exact:
-            v = gtab[vectors].mean(axis=1)
-            rate_fn = _sorted_rate_fn(v, weights)
+            rate_fn = _sorted_rate_fn(gtab[types].mean(axis=1), weights)
         else:
-            v = counts @ (gtab / K)
-            rate_fn = _sorted_rate_fn(v)
+            rate_fn = _sorted_rate_fn(_hist_means(counts, gtab, K))
 
         def objective(r):
             return r * rate_fn(r) * factor

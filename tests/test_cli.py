@@ -68,6 +68,21 @@ class TestRate:
         assert code == 3
         assert "mc" in err
 
+    def test_mc_at_reading_rate_8_finishes(self, capsys):
+        code, out, _ = run(
+            capsys,
+            ["rate", "--c", "8", "--beta", "0.05", "--p", "0.1", "--K", "1",
+             "--rix", "0.5", "--rin", "0.5", "--method", "mc"],
+        )
+        assert code == 0
+        assert "method = monte_carlo" in out
+
+    def test_infinite_reading_rate_rejected(self, capsys):
+        code, _, err = run(capsys, ["rate", "--c", "inf", "--beta", "0.05", "--p", "0.1",
+                                    "--K", "1", "--rix", "0.5", "--rin", "0.5"])
+        assert code == 2
+        assert "finite" in err
+
     def test_mc_exact_agreement(self, capsys):
         _, out_e, _ = run(capsys, [*self.ARGS, "--method", "exact"])
         _, out_m, _ = run(capsys, [*self.ARGS, "--method", "mc", "--samples", "200000"])

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -168,6 +169,15 @@ class TestMultiDrawCapacity:
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):
             multi_draw_capacity(-1, 0.1)
+
+
+class TestDeepUnderflow:
+    @pytest.mark.parametrize("d", [2000, 4000])
+    def test_no_runtime_warning(self, d):
+        # both tails of the binomial underflow here; no 0/0 may be evaluated
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert multi_draw_capacity(d, 0.1234) == 1.0
 
 
 class TestGatedCapacity:

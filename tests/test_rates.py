@@ -1,4 +1,6 @@
+import itertools
 import math
+import time
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from dnarate import (
     optimize_scheme,
     overall_rate,
     r_max,
+    rates,
     validate_scheme,
 )
 
@@ -39,6 +42,11 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             ChannelParams(c=1, beta=0.05, p=0.6)
 
+    @pytest.mark.parametrize("c", [math.inf, -math.inf, math.nan])
+    def test_channel_params_reject_nonfinite_reading_rate(self, c):
+        with pytest.raises(ValueError, match="finite"):
+            ChannelParams(c=c, beta=0.05, p=0.1)
+
     def test_scheme_params(self):
         with pytest.raises(ValueError):
             SchemeParams(K=0, r_ix=0.5, r_in=0.5, r_out=0.5)
@@ -47,6 +55,37 @@ class TestParamValidation:
         with pytest.raises(ValueError):
             SchemeParams(K=1, r_ix=0.5, r_in=0.5, r_out=0.0)
         assert SchemeParams(K=1, r_ix=0.5, r_in=0.5, r_out=1.0).r_out == 1.0
+
+    @pytest.mark.parametrize("K", [True, 2.0, 2.5, "2"])
+    def test_block_size_must_be_an_integer(self, K):
+        with pytest.raises((ValueError, TypeError)):
+            SchemeParams(K=K, r_ix=0.5, r_in=0.5, r_out=0.5)
+
+    def test_numpy_integer_block_size(self):
+        assert SchemeParams(K=np.int64(3), r_ix=0.5, r_in=0.5, r_out=0.5).K == 3
+
+
+class TestPoissonTables:
+    @pytest.mark.parametrize("c", [*np.geomspace(0.5, 1000, 25), 8, 20, 25, 50, 64])
+    def test_cut_at_closed_form_tail(self, c):
+        pmf, cdf = rates._poisson_tables(float(c))
+        assert len(pmf) == len(cdf) <= c + 12 * math.sqrt(c) + 60
+        assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] == 1.0
+        assert np.all(pmf >= 0.0)
+
+    def test_formerly_overrunning_reading_rates(self):
+        # these tables used to run to the 100,001-entry fallback
+        for c in (8, 20, 25, 50, 64):
+            assert len(rates._poisson_tables(float(c))[0]) < 150
+
+    def test_mc_paths_finish_at_c8(self):
+        start = time.perf_counter()
+        res = optimize_scheme(ChannelParams(8, 0.05, 0.1), 10, samples=10, method="mc")
+        assert res.rate.method == "monte_carlo"
+        scheme = SchemeParams(K=1, r_ix=0.5, r_in=0.5, r_out=1.0)
+        est = achievable_outer_rate_mc(ChannelParams(8, 0.05, 0.1), scheme, samples=1000)
+        assert 0.0 <= est.value <= 1.0
+        assert time.perf_counter() - start < 10.0
 
 
 class TestChannelCapacity:
@@ -113,6 +152,36 @@ class TestExactOuterRate:
         )
         assert 0.0 <= est.truncation_mass < 1e-6
 
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("K", [1, 2, 3, 4])
+    def test_types_match_ordered_enumeration(self, K, c):
+        params = params_for(c)
+        rng = np.random.default_rng(100 * K + c)
+        _, cdf_k = rates._poisson_tables(K * c)
+        d_max = rates._tail_cut(cdf_k, 1e-12)
+        log_pmf = [-c + d * math.log(c) - math.lgamma(d + 1) for d in range(d_max + 1)]
+        for _ in range(3):
+            r_ix, r_in = rng.uniform(0.06, 0.95), rng.uniform(0.02, 0.98)
+            scheme = SchemeParams(K=K, r_ix=float(r_ix), r_in=float(r_in), r_out=1.0)
+            gtab = [g if g > r_ix else 0.0 for g in (multi_draw_capacity(d, 0.1)
+                                                     for d in range(d_max + 1))]
+            brute = math.fsum(
+                math.exp(sum(log_pmf[d] for d in v))
+                for v in itertools.product(range(d_max + 1), repeat=K)
+                if sum(v) <= d_max and sum(gtab[d] for d in v) / K > r_in
+            )
+            est = achievable_outer_rate_exact(params, scheme)
+            assert abs(est.value - brute) <= 1e-13
+
+    def test_type_count_and_mass(self):
+        types, weights, truncation, d_max = rates._exact_support(
+            params_for(2), 4, 1e-12, rates.ENUM_CAP
+        )
+        assert len(types) == 4626 and math.comb(d_max + 4, 4) == 82251
+        assert np.all(np.diff(types, axis=1) >= 0) and np.all(types.sum(axis=1) <= d_max)
+        assert len({tuple(t) for t in types}) == len(types)
+        assert math.fsum(weights) + truncation == pytest.approx(1.0, abs=1e-13)
+
     def test_cap_refused_loudly(self):
         scheme = SchemeParams(K=64, r_ix=RIX1, r_in=0.5, r_out=1.0)
         with pytest.raises(EnumerationCapError, match="Monte-Carlo"):
@@ -157,6 +226,43 @@ class TestMonteCarloOuterRate:
             for t in (1, 2, 8)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+
+class TestTypeSampler:
+    def test_rows_are_multinomial(self):
+        K, n = 7, 20_000
+        _, cdf = rates._poisson_tables(2.0)
+        pmf = np.diff(cdf, prepend=0.0)
+        (h,) = rates._type_batches(11, 0, n, K, cdf)
+        assert h.shape == (n, len(cdf))
+        assert np.all(h.sum(axis=1) == K)
+        se = np.sqrt(K * pmf * (1 - pmf) / n)
+        assert np.all(np.abs(h.mean(axis=0) - K * pmf) <= 5 * se)
+
+    def test_batches_keep_the_chunk_stream(self):
+        # c = 50 tables are wide enough that one chunk is drawn in batches
+        K, n = 5, 65_536
+        _, cdf = rates._poisson_tables(50.0)
+        batches = list(rates._type_batches(4, 2, n, K, cdf))
+        assert len(batches) > 1
+        rng = rates.substream(4, "outer-rate-mc", 2)
+        whole = rng.multinomial(K, np.diff(cdf, prepend=0.0), size=n)
+        assert np.array_equal(np.vstack(batches), whole)
+
+    def test_optimizer_and_estimator_share_histograms(self):
+        params, K, seed = params_for(2), 6, 8
+        samples = rates.MC_CHUNK + 5_000
+        counts = rates._sample_count_matrix(params, K, samples, seed, threads=2)
+        assert np.array_equal(counts, rates._sample_count_matrix(params, K, samples, seed))
+        _, cdf = rates._poisson_tables(2.0)
+        for ci, (lo, n) in enumerate([(0, rates.MC_CHUNK), (rates.MC_CHUNK, 5_000)]):
+            drawn = np.vstack(list(rates._type_batches(seed, ci, n, K, cdf)))
+            assert np.array_equal(counts[lo : lo + n], drawn)
+        scheme = SchemeParams(K=K, r_ix=RIX1, r_in=0.47, r_out=1.0)
+        gtab = rates.gated_capacity_table(0.1, counts.shape[1] - 1, RIX1)
+        wins = int((rates._hist_means(counts, gtab, K) > 0.47).sum())
+        est = achievable_outer_rate_mc(params, scheme, samples, seed=seed)
+        assert est.value == wins / samples
 
 
 class TestOverallRate:
@@ -209,6 +315,14 @@ class TestRMax:
     def test_values(self):
         assert r_max(params_for(1)).r_max == pytest.approx(0.3644, abs=5e-4)
         assert r_max(params_for(10)).r_max == pytest.approx(0.9308, abs=5e-4)
+
+    def test_threshold_is_the_gate_actually_applied(self):
+        # at c = 30 the best candidate is r_ix = 0.999 C_23, which every
+        # d >= 12 already passes
+        res = r_max(params_for(30))
+        assert res.d_star == 12
+        assert res.r_ix_used == pytest.approx(0.999 * multi_draw_capacity(23, 0.1))
+        assert multi_draw_capacity(11, 0.1) <= res.r_ix_used < multi_draw_capacity(12, 0.1)
 
     def test_rix_used_sits_below_the_level(self):
         res = r_max(params_for(10))
