@@ -64,6 +64,7 @@ from .decoder import (
     InnerDecodeResult,
     PipelineResult,
     count_wrong_clusters,
+    decode,
     greedy_cluster,
     oracle_index_decode,
     oracle_inner_decode,

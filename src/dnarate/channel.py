@@ -276,6 +276,8 @@ def load_channel(path):
         raise ValueError(f"not a channel dump (bad magic): {path}")
     if version != FORMAT_VERSION:
         raise ValueError(f"unsupported channel dump version {version}: {path}")
+    if M < 1 or L < 1:
+        raise ValueError(f"channel dump has M={M}, L={L}; both must be >= 1: {path}")
     width = (L + 7) // 8
     need = _HEADER.size + N * width + N * 8
     if len(raw) != need:

@@ -17,16 +17,7 @@ import os
 import sys
 
 from .channel import InstanceDims, dump_channel, load_channel
-from .decoder import (
-    BudgetError,
-    ClusteringConfig,
-    count_wrong_clusters,
-    greedy_cluster,
-    oracle_index_decode,
-    oracle_inner_decode,
-    outer_success,
-    run_pipeline,
-)
+from .decoder import BudgetError, ClusteringConfig, _trial_output, decode, run_pipeline
 from .rates import (
     ChannelParams,
     EnumerationCapError,
@@ -38,6 +29,7 @@ from .rates import (
     mean_gated_capacity,
     optimize_scheme,
     overall_rate,
+    _check_tail_eps,
     _exact_feasible,
     AUTO_EXACT_VECTORS,
 )
@@ -133,34 +125,19 @@ def _need(args, *names):
             raise CliError(2, f"--{name} is required")
 
 
+# Range checks live in ChannelParams, SchemeParams and the library entry
+# points; their ValueErrors leave main() with exit code 2.
+
 def _channel(args):
     _need(args, "c", "beta", "p")
-    if not args.c > 0:
-        raise CliError(2, f"c out of range: must be positive, got {args.c}")
-    if not 0.0 < args.beta < 1.0:
-        raise CliError(2, f"beta out of range: must be in (0, 1), got {args.beta}")
-    if math.isnan(args.p) or not 0.0 <= args.p <= 0.5:
-        raise CliError(2, f"p out of range: must be in [0, 1/2], got {args.p}")
-    if not args.tail_eps > 0:
-        raise CliError(2, f"tail-eps out of range: must be positive, got {args.tail_eps}")
-    return ChannelParams(c=args.c, beta=args.beta, p=args.p)
+    params = ChannelParams(c=args.c, beta=args.beta, p=args.p)
+    _check_tail_eps(args.tail_eps)
+    return params
 
 
 def _scheme(args, need_rout=False):
-    _need(args, "K", "rix", "rin")
-    if args.K < 1:
-        raise CliError(2, f"K out of range: must be >= 1, got {args.K}")
-    if not 0.0 < args.rix < 1.0:
-        raise CliError(2, f"rix out of range: must be in (0, 1), got {args.rix}")
-    if not 0.0 < args.rin < 1.0:
-        raise CliError(2, f"rin out of range: must be in (0, 1), got {args.rin}")
-    rout = args.rout
-    if need_rout:
-        _need(args, "rout")
-    if rout is None:
-        rout = 1.0
-    if not 0.0 < rout <= 1.0:
-        raise CliError(2, f"rout out of range: must be in (0, 1], got {rout}")
+    _need(args, "K", "rix", "rin", *(["rout"] if need_rout else []))
+    rout = 1.0 if args.rout is None else args.rout
     return SchemeParams(K=args.K, r_ix=args.rix, r_in=args.rin, r_out=rout)
 
 
@@ -203,6 +180,10 @@ def cmd_capacity(args):
 
 
 def _estimate(params, scheme, args):
+    # Checked before any estimate, so an infeasible exact request never
+    # hides the invalid scheme behind exit code 3.
+    if scheme.r_ix <= params.beta:
+        raise CliError(2, f"rix must exceed beta ({params.beta}), got {scheme.r_ix}")
     if args.method == "exact":
         return achievable_outer_rate_exact(params, scheme, args.tail_eps)
     if args.method == "mc":
@@ -217,8 +198,6 @@ def _estimate(params, scheme, args):
 def cmd_rate(args):
     params = _channel(args)
     scheme = _scheme(args)
-    if scheme.r_ix <= params.beta:
-        raise CliError(2, f"rix must exceed beta ({params.beta}), got {scheme.r_ix}")
     est = _estimate(params, scheme, args)
     overall = overall_rate(scheme.r_in, est.value, scheme.r_ix, params.beta)
     print(f"R_out = {_fmt6(est.value)}")
@@ -265,8 +244,6 @@ def _curve_rows(args):
     if args.sweep == "K":
         params = _channel(args)
         for k in values:
-            if k < 1:
-                raise CliError(2, f"K sweep values must be >= 1, got {k}")
             res = optimize_scheme(
                 params,
                 k,
@@ -287,13 +264,11 @@ def _curve_rows(args):
         if args.K == 0:
             # Infinite-block-size limit: the outer rate is a step function of
             # the inner rate at the mean gated capacity.
-            if not params.beta < args.rix < 1.0:
-                raise CliError(2, f"rix must be in (beta, 1), got {args.rix}")
             mean = mean_gated_capacity(params, args.rix, args.tail_eps)
-            factor = 1.0 - params.beta / args.rix
             for rin in values:
                 r_out = 1.0 if rin < mean else 0.0
-                rows.append((rin, args.rix, rin, r_out, rin * r_out * factor,
+                rows.append((rin, args.rix, rin, r_out,
+                             overall_rate(rin, r_out, args.rix, params.beta),
                              0.0, "asymptotic"))
             return rows
         for rin in values:
@@ -345,8 +320,6 @@ def cmd_curve(args):
 def cmd_optimize(args):
     params = _channel(args)
     _need(args, "K")
-    if args.K < 1:
-        raise CliError(2, f"K out of range: must be >= 1, got {args.K}")
     res = optimize_scheme(
         params,
         args.K,
@@ -401,29 +374,20 @@ def cmd_simulate(args):
     params = _channel(args)
     scheme = _scheme(args, need_rout=True)
     _need(args, "M")
-    if args.trials < 1:
-        raise CliError(2, f"trials out of range: must be >= 1, got {args.trials}")
-    if args.M < 1 or args.M % scheme.K != 0:
-        raise CliError(2, f"M must be a positive multiple of K, got M={args.M} K={scheme.K}")
     if args.dump is not None and args.trials != 1:
         raise CliError(2, "--dump records a single channel use; requires --trials 1")
-    clustering = ClusteringConfig(rho=args.rho) if args.rho is not None else None
     result = run_pipeline(
         params,
         scheme,
         args.M,
         args.trials,
         seed=args.seed,
-        clustering=clustering,
+        clustering=ClusteringConfig(rho=args.rho),
         threads=args.threads,
     )
     if args.dump is not None:
-        from .channel import random_pool, simulate_channel
-        from .seeding import derive_seed
-
         dims = InstanceDims.from_channel(params, args.M, scheme.K)
-        pool = random_pool(dims, derive_seed(args.seed, "pipeline.pool", 0))
-        output = simulate_channel(pool, params, derive_seed(args.seed, "pipeline.channel", 0))
+        output = _trial_output(params, dims, args.seed, 0)
         try:
             dump_channel(output, args.dump)
         except OSError as exc:
@@ -463,29 +427,21 @@ def cmd_replay(args):
         raise CliError(4, f"cannot read {args.infile}: {exc}")
     except ValueError as exc:
         raise CliError(4, str(exc))
-    # beta is implied by the recorded dimensions, c by the read count.
-    m, length, n = output.pool_size, output.length, output.N
-    args.beta = math.log2(m) / length if m > 1 else args.beta
-    args.c = n / m if n else args.c
+    # beta is implied by the recorded dimensions, c by the read count; a
+    # one-strand pool or an empty read set implies nothing (0), so the
+    # flags stand.
+    m = output.pool_size
+    args.beta = math.log2(m) / output.length or args.beta
+    args.c = output.N / m or args.c
     params = _channel(args)
     scheme = _scheme(args, need_rout=True)
-    if m % scheme.K != 0:
-        raise CliError(2, f"K ({scheme.K}) must divide the recorded pool size ({m})")
-    config = ClusteringConfig(rho=args.rho).resolved(params.p) if args.rho is not None \
-        else ClusteringConfig().resolved(params.p)
-    clusters = greedy_cluster(output, config)
-    m_c = count_wrong_clusters(clusters, output)
-    ix = oracle_index_decode(clusters, output, params, scheme.r_ix)
-    inner = oracle_inner_decode(
-        ix.draws, params, scheme, m_wrong_clusters=m_c, m_wrong_index=ix.m_wrong_index
-    )
-    success = outer_success(inner.erasures, inner.errors, m, scheme.r_out)
-    print(f"M_C = {m_c}")
-    print(f"M_Ix = {ix.m_wrong_index}")
-    print(f"M_In = {inner.m_wrong_inner}")
-    print(f"s = {inner.erasures}")
-    print(f"t = {inner.errors}")
-    print(f"success = {int(success)}")
+    report = decode(output, params, scheme, ClusteringConfig(rho=args.rho))
+    print(f"M_C = {report.m_wrong_clusters}")
+    print(f"M_Ix = {report.m_wrong_index}")
+    print(f"M_In = {report.m_wrong_inner}")
+    print(f"s = {report.erasures}")
+    print(f"t = {report.errors}")
+    print(f"success = {int(report.outer_success)}")
     return 0
 
 

@@ -10,7 +10,6 @@ the channel and the scheme thresholds without constructing codebooks.
 """
 
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -18,7 +17,7 @@ import numpy as np
 from .channel import InstanceDims, random_pool, simulate_channel
 from .multidraw import gated_capacity_table
 from .rates import validate_scheme
-from .seeding import derive_seed
+from .seeding import _map_chunks, derive_seed
 
 __all__ = [
     "ClusteringConfig",
@@ -33,6 +32,7 @@ __all__ = [
     "oracle_index_decode",
     "oracle_inner_decode",
     "outer_success",
+    "decode",
     "run_pipeline",
     "DEFAULT_DISTANCE_BUDGET",
 ]
@@ -190,6 +190,16 @@ def greedy_cluster(output, config):
     return clusters
 
 
+def _clean_strand(cluster, output, fiber_size):
+    """The strand whose full read set the cluster is, or None if it is not
+    clean (mixed origins, or some of its strand's reads missing)."""
+    origins = output.origins[np.asarray(cluster.members)]
+    first = int(origins[0])
+    if (origins == first).all() and origins.size == fiber_size[first]:
+        return first
+    return None
+
+
 def count_wrong_clusters(clusters, output):
     """Count clusters that are not exactly the full read set of one strand."""
     fiber_size = np.bincount(output.origins, minlength=output.pool_size)
@@ -198,15 +208,7 @@ def count_wrong_clusters(clusters, output):
         raise ValueError(
             f"clustering covers {covered} reads, expected {output.N}"
         )
-    wrong = 0
-    for cluster in clusters:
-        members = np.asarray(cluster.members)
-        origins = output.origins[members]
-        first = origins[0]
-        pure = bool((origins == first).all())
-        if not (pure and members.size == fiber_size[first]):
-            wrong += 1
-    return wrong
+    return sum(_clean_strand(c, output, fiber_size) is None for c in clusters)
 
 
 def oracle_index_decode(clusters, output, params, r_ix):
@@ -228,14 +230,11 @@ def oracle_index_decode(clusters, output, params, r_ix):
     for pos, cluster in enumerate(clusters):
         if gtab[cluster.size] <= 0.0:
             continue
-        members = np.asarray(cluster.members)
-        origins = output.origins[members]
-        first = int(origins[0])
-        clean = bool((origins == first).all()) and members.size == fiber_size[first]
-        if not clean:
+        strand = _clean_strand(cluster, output, fiber_size)
+        if strand is None:
             m_wrong += 1
             continue
-        claims.setdefault(first, []).append(pos)
+        claims.setdefault(strand, []).append(pos)
     assignments = {}
     for strand, holders in claims.items():
         if len(holders) != 1:
@@ -289,6 +288,41 @@ def outer_success(s, t, M, r_out):
     return s + 2 * t <= M - M * r_out
 
 
+def decode(output, params, scheme, config=None):
+    """Run the decoder chain on one channel output.
+
+    The reads are clustered with `config` (default ClusteringConfig())
+    resolved for params.p, then index-, inner- and outer-decoded with the
+    oracles; the outer code spans M = output.pool_size strands, which K must
+    divide. The check runs before clustering, the costly stage.
+    """
+    M = output.pool_size
+    if M % scheme.K != 0:
+        raise ValueError(f"K ({scheme.K}) must divide the pool size ({M})")
+    config = (config or ClusteringConfig()).resolved(params.p)
+    clusters = greedy_cluster(output, config)
+    m_c = count_wrong_clusters(clusters, output)
+    ix = oracle_index_decode(clusters, output, params, scheme.r_ix)
+    inner = oracle_inner_decode(
+        ix.draws, params, scheme, m_wrong_clusters=m_c, m_wrong_index=ix.m_wrong_index
+    )
+    return DecodeReport(
+        m_wrong_clusters=m_c,
+        m_wrong_index=ix.m_wrong_index,
+        m_wrong_inner=inner.m_wrong_inner,
+        erasures=inner.erasures,
+        errors=inner.errors,
+        outer_success=bool(outer_success(inner.erasures, inner.errors, M, scheme.r_out)),
+    )
+
+
+def _trial_output(params, dims, seed, t):
+    """Channel output of pipeline trial t: a fresh pool and read set, each
+    drawn from its own substream of the master seed."""
+    pool = random_pool(dims, derive_seed(seed, "pipeline.pool", t))
+    return simulate_channel(pool, params, derive_seed(seed, "pipeline.channel", t))
+
+
 def _suggest_m(params, budget, K):
     m = 2
     best = None
@@ -318,9 +352,8 @@ def run_pipeline(
     """Run the full decode pipeline end to end for several trials.
 
     Each trial draws a fresh pool and channel output (deterministically from
-    the master seed and the trial index), clusters the reads, decodes indices
-    and inner blocks with the oracles, and applies the outer success test.
-    Schemes failing validate_scheme produce a warning but still run.
+    the master seed and the trial index) and runs decode on it. Schemes
+    failing validate_scheme produce a warning but still run.
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
@@ -342,28 +375,8 @@ def run_pipeline(
     config = (clustering or ClusteringConfig()).resolved(params.p)
 
     def one_trial(t):
-        pool = random_pool(dims, derive_seed(seed, "pipeline.pool", t))
-        output = simulate_channel(pool, params, derive_seed(seed, "pipeline.channel", t))
-        clusters = greedy_cluster(output, config)
-        m_c = count_wrong_clusters(clusters, output)
-        ix = oracle_index_decode(clusters, output, params, scheme.r_ix)
-        inner = oracle_inner_decode(
-            ix.draws, params, scheme, m_wrong_clusters=m_c, m_wrong_index=ix.m_wrong_index
-        )
-        success = outer_success(inner.erasures, inner.errors, M, scheme.r_out)
-        return DecodeReport(
-            m_wrong_clusters=m_c,
-            m_wrong_index=ix.m_wrong_index,
-            m_wrong_inner=inner.m_wrong_inner,
-            erasures=inner.erasures,
-            errors=inner.errors,
-            outer_success=bool(success),
-        )
+        return decode(_trial_output(params, dims, seed, t), params, scheme, config)
 
-    if threads > 1 and trials > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool_:
-            reports = tuple(pool_.map(one_trial, range(trials)))
-    else:
-        reports = tuple(one_trial(t) for t in range(trials))
+    reports = tuple(_map_chunks(one_trial, trials, threads))
     rate = sum(r.outer_success for r in reports) / trials
     return PipelineResult(reports=reports, success_rate=rate)

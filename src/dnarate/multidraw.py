@@ -29,7 +29,7 @@ def check_crossover(p):
     """Validate a per-bit flip probability; must lie in [0, 1/2]."""
     p = float(p)
     if math.isnan(p) or not 0.0 <= p <= 0.5:
-        raise ValueError(f"crossover probability must be in [0, 1/2], got {p!r}")
+        raise ValueError(f"p out of range: must be in [0, 1/2], got {p!r}")
     return p
 
 

@@ -12,7 +12,6 @@ supremum over index rates, and a grid optimizer for scheme parameters.
 
 import math
 import numbers
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -26,7 +25,7 @@ from .multidraw import (
     gated_capacity_table,
     multi_draw_capacity,
 )
-from .seeding import substream
+from .seeding import _map_chunks, substream
 
 __all__ = [
     "ChannelParams",
@@ -80,10 +79,15 @@ class ChannelParams:
 
     def __post_init__(self):
         if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"c must be positive and finite, got {self.c!r}")
+            raise ValueError(f"c out of range: must be positive and finite, got {self.c!r}")
         if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta must be in (0, 1), got {self.beta!r}")
+            raise ValueError(f"beta out of range: must be in (0, 1), got {self.beta!r}")
         check_crossover(self.p)
+
+
+def _check_block_size(K):
+    if not isinstance(K, numbers.Integral) or isinstance(K, bool) or K < 1:
+        raise ValueError(f"K out of range: must be a positive integer, got {K!r}")
 
 
 @dataclass(frozen=True)
@@ -96,15 +100,13 @@ class SchemeParams:
     r_out: float
 
     def __post_init__(self):
-        integral = isinstance(self.K, numbers.Integral) and not isinstance(self.K, bool)
-        if not integral or self.K < 1:
-            raise ValueError(f"K must be a positive integer, got {self.K!r}")
+        _check_block_size(self.K)
         if not 0.0 < self.r_ix < 1.0:
-            raise ValueError(f"r_ix must be in (0, 1), got {self.r_ix!r}")
+            raise ValueError(f"r_ix out of range: must be in (0, 1), got {self.r_ix!r}")
         if not 0.0 < self.r_in < 1.0:
-            raise ValueError(f"r_in must be in (0, 1), got {self.r_in!r}")
+            raise ValueError(f"r_in out of range: must be in (0, 1), got {self.r_in!r}")
         if not 0.0 < self.r_out <= 1.0:
-            raise ValueError(f"r_out must be in (0, 1], got {self.r_out!r}")
+            raise ValueError(f"r_out out of range: must be in (0, 1], got {self.r_out!r}")
 
     def overall(self, beta):
         """Net rate of this scheme on a channel with strand density beta."""
@@ -186,7 +188,7 @@ def _tail_cut(cdf, tail_eps):
 
 def _check_tail_eps(tail_eps):
     if not tail_eps > 0:
-        raise ValueError(f"tail_eps must be positive, got {tail_eps!r}")
+        raise ValueError(f"tail_eps out of range: must be positive, got {tail_eps!r}")
 
 
 # ---------------------------------------------------------------------------
@@ -239,24 +241,34 @@ def mean_gated_capacity(params, r_ix, tail_eps=1e-12):
 # not on their order. Exact evaluation enumerates types with their
 # multinomial weights; Monte-Carlo samples them as multinomial histograms.
 
-def _map_chunks(fn, n_chunks, threads):
-    """[fn(0), ..., fn(n_chunks - 1)], computed on up to `threads` threads."""
-    if threads > 1 and n_chunks > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, range(n_chunks)))
-    return [fn(i) for i in range(n_chunks)]
-
-
 def _enum_cut(params, K, tail_eps):
-    """Tail cut d_max of a block's total draw count, the number of ordered
-    draw vectors with component sum <= d_max, and the mass beyond the cut."""
+    """Tail cut d_max of a block's total draw count and the mass beyond it."""
     _, cdf_k = _poisson_tables(K * params.c)
     d_max = _tail_cut(cdf_k, tail_eps)
-    return d_max, math.comb(d_max + K, K), max(0.0, 1.0 - float(cdf_k[d_max]))
+    return d_max, max(0.0, 1.0 - float(cdf_k[d_max]))
+
+
+def _vectors_within(d_max, K, cap):
+    """Whether the C(d_max + K, K) ordered draw vectors with component sum
+    <= d_max number at most cap.
+
+    With n = d_max + K and k = min(K, d_max), the coefficient is built as
+    C(n - k + i, i) for i = 1 .. k, exact integers that never decrease. The
+    loop stops once one passes the cap, and since n - k >= k each is at least
+    2^i, so it runs about log2(cap) steps however large K is.
+    """
+    K = int(K)  # a numpy integer would wrap in the products below
+    n, k = d_max + K, min(K, d_max)
+    count = 1
+    for i in range(1, k + 1):
+        if count > cap:
+            return False
+        count = count * (n - k + i) // i
+    return count <= cap
 
 
 def _exact_feasible(params, K, tail_eps, cap):
-    return _enum_cut(params, K, tail_eps)[1] <= cap
+    return _vectors_within(_enum_cut(params, K, tail_eps)[0], K, cap)
 
 
 def _exact_support(params, K, tail_eps, enum_cap):
@@ -267,11 +279,11 @@ def _exact_support(params, K, tail_eps, enum_cap):
     Poisson masses, where m_i counts the repeats of each draw value.
     The cap is counted in ordered vectors, C(d_max + K, K).
     """
-    d_max, n_vectors, truncation = _enum_cut(params, K, tail_eps)
-    if n_vectors > enum_cap:
+    d_max, truncation = _enum_cut(params, K, tail_eps)
+    if not _vectors_within(d_max, K, enum_cap):
         raise EnumerationCapError(
-            f"exact enumeration needs {n_vectors} draw vectors "
-            f"(cap {enum_cap}); use the Monte-Carlo estimator"
+            f"exact enumeration needs more than {enum_cap} draw vectors; "
+            "use the Monte-Carlo estimator"
         )
     types = np.arange(d_max // K + 1)[:, None]
     total = types[:, 0].copy()
@@ -314,6 +326,9 @@ def _hist_means(h, gtab, K):
 
 
 def _chunk_sizes(samples):
+    """Sizes of the MC_CHUNK-sample chunks of a positive sample budget."""
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples!r}")
     return [min(MC_CHUNK, samples - s) for s in range(0, samples, MC_CHUNK)]
 
 
@@ -347,11 +362,9 @@ def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
     and the integer success counts are combined in chunk order, so the
     estimate is bit-identical for any thread count.
     """
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    sizes = _chunk_sizes(samples)
     _, cdf = _poisson_tables(params.c)
     gtab = gated_capacity_table(params.p, len(cdf) - 1, scheme.r_ix)
-    sizes = _chunk_sizes(samples)
 
     def count(ci):
         return sum(
@@ -438,15 +451,11 @@ def gap_to_capacity(params, epsilon=1e-3, tail_eps=1e-12):
 def validate_scheme(params, scheme):
     """Check a scheme against the conditions the decoding analysis needs.
 
-    Returns a verdict listing every violated condition; nothing is raised.
+    The rates' own ranges are enforced by SchemeParams; this checks how the
+    scheme sits against the channel. Returns a verdict listing every
+    violated condition; nothing is raised.
     """
     violations = []
-    if not 0.0 < scheme.r_ix < 1.0:
-        violations.append(f"r_ix must be in (0, 1), got {scheme.r_ix}")
-    if not 0.0 < scheme.r_in < 1.0:
-        violations.append(f"r_in must be in (0, 1), got {scheme.r_in}")
-    if not 0.0 < scheme.r_out <= 1.0:
-        violations.append(f"r_out must be in (0, 1], got {scheme.r_out}")
     if not params.beta < scheme.r_ix:
         violations.append(
             f"index overhead: beta ({params.beta}) must be below r_ix ({scheme.r_ix})"
@@ -476,10 +485,10 @@ def _sample_count_matrix(params, K, samples, seed, threads=1):
     product. The rows are the ones achievable_outer_rate_mc draws from the
     same seed.
     """
+    sizes = _chunk_sizes(samples)
     _, cdf = _poisson_tables(params.c)
     dtype = np.uint16 if K < 65536 else np.uint32
     counts = np.empty((samples, len(cdf)), dtype=dtype)
-    sizes = _chunk_sizes(samples)
 
     def fill(ci):
         row = ci * MC_CHUNK
@@ -557,8 +566,7 @@ def optimize_scheme(
     """
     if rin_grid < 2:
         raise ValueError(f"rin_grid must be >= 2, got {rin_grid!r}")
-    if K < 1:
-        raise ValueError(f"K must be >= 1, got {K!r}")
+    _check_block_size(K)
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"method must be auto, exact or mc, got {method!r}")
 

@@ -7,6 +7,7 @@ the number of worker threads.
 """
 
 import zlib
+from concurrent import futures
 
 import numpy as np
 
@@ -31,3 +32,11 @@ def derive_seed(seed, tag, index=0):
     """
     ss = np.random.SeedSequence(stream_seed(seed, tag, index))
     return int(ss.generate_state(1, np.uint64)[0])
+
+
+def _map_chunks(fn, n_chunks, threads):
+    """[fn(0), ..., fn(n_chunks - 1)], computed on up to `threads` threads."""
+    if threads > 1 and n_chunks > 1:
+        with futures.ThreadPoolExecutor(max_workers=threads) as pool:
+            return list(pool.map(fn, range(n_chunks)))
+    return [fn(i) for i in range(n_chunks)]

@@ -1,9 +1,10 @@
+import struct
 import subprocess
 import sys
 
 import pytest
 
-from dnarate import overall_rate
+from dnarate import decoder, overall_rate
 from dnarate.cli import main
 
 CH = ["--c", "1", "--beta", "0.05", "--p", "0.1"]
@@ -13,6 +14,51 @@ def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+SCHEME = ["--K", "2", "--rix", "0.5304", "--rin", "0.4"]
+SIM = ["simulate", *CH, *SCHEME, "--rout", "0.8", "--M", "256"]
+
+# Invalid inputs and the exit code each must give; every one is rejected
+# before any estimate or simulation runs.
+INVALID = {
+    "c zero": (["capacity", "--c", "0", "--beta", "0.05", "--p", "0.1"], 2),
+    "c negative": (["capacity", "--c", "-1", "--beta", "0.05", "--p", "0.1"], 2),
+    "c inf": (["capacity", "--c", "inf", "--beta", "0.05", "--p", "0.1"], 2),
+    "beta zero": (["capacity", "--c", "1", "--beta", "0", "--p", "0.1"], 2),
+    "beta one": (["capacity", "--c", "1", "--beta", "1", "--p", "0.1"], 2),
+    "p 0.6": (["capacity", "--c", "1", "--beta", "0.05", "--p", "0.6"], 2),
+    "p nan": (["capacity", "--c", "1", "--beta", "0.05", "--p", "nan"], 2),
+    "tail-eps zero": (["capacity", *CH, "--tail-eps", "0"], 2),
+    "tail-eps negative": (["rate", *CH, *SCHEME, "--tail-eps=-1e-12"], 2),
+    "K zero": (["rate", *CH, "--K", "0", "--rix", "0.5304", "--rin", "0.4"], 2),
+    "rix zero": (["rate", *CH, "--K", "2", "--rix", "0", "--rin", "0.4"], 2),
+    "rix one": (["rate", *CH, "--K", "2", "--rix", "1", "--rin", "0.4"], 2),
+    "rin zero": (["rate", *CH, "--K", "2", "--rix", "0.5304", "--rin", "0"], 2),
+    "rin one": (["rate", *CH, "--K", "2", "--rix", "0.5304", "--rin", "1"], 2),
+    "rout zero": (["rate", *CH, *SCHEME, "--rout", "0"], 2),
+    "rout 1.5": (["rate", *CH, *SCHEME, "--rout", "1.5"], 2),
+    "simulate rout zero": (["simulate", *CH, *SCHEME, "--rout", "0", "--M", "256"], 2),
+    "curve K sweep from 0": (["curve", "--sweep", "K", "--values", "0,1", *CH], 2),
+    "optimize K zero": (["optimize", *CH, "--K", "0"], 2),
+    "simulate zero trials": ([*SIM, "--trials", "0"], 2),
+    "simulate M not a multiple of K": ([*SIM[:-1], "255"], 2),
+    "simulate M zero": ([*SIM[:-1], "0"], 2),
+    "rix at beta, exact at K=1000": (
+        ["rate", *CH, "--K", "1000", "--rix", "0.05", "--rin", "0.4",
+         "--method", "exact"], 2),
+    "rix below beta, exact at K=1000": (
+        ["rate", *CH, "--K", "1000", "--rix", "0.04", "--rin", "0.4",
+         "--method", "exact"], 2),
+}
+
+
+@pytest.mark.parametrize("argv,code", INVALID.values(), ids=INVALID.keys())
+def test_invalid_input_exit_code(capsys, argv, code):
+    got, out, err = run(capsys, argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("error: ")
 
 
 class TestCapacity:
@@ -67,6 +113,18 @@ class TestRate:
         )
         assert code == 3
         assert "mc" in err
+
+    def test_exact_at_huge_block_exits_3(self, capsys):
+        # C(d_max + K, K) has thousands of digits here; the cap test never
+        # builds it, and the message names the cap instead.
+        code, out, err = run(
+            capsys,
+            ["rate", "--c", "2", "--beta", "0.05", "--p", "0.1", "--K", "20000",
+             "--rix", "0.5304", "--rin", "0.45", "--method", "exact"],
+        )
+        assert code == 3
+        assert out == ""
+        assert "100000000" in err and "Monte-Carlo" in err
 
     def test_mc_at_reading_rate_8_finishes(self, capsys):
         code, out, _ = run(
@@ -162,6 +220,14 @@ class TestOptimize:
         assert obj["K"] == 1 and obj["d_candidate"] == 1
         assert obj["r"] == pytest.approx(0.306575, abs=0.01)
 
+    @pytest.mark.parametrize("samples", ["0", "-5"])
+    def test_mc_sample_budget_checked(self, capsys, samples):
+        code, out, err = run(capsys, ["optimize", "--c", "2", "--beta", "0.05", "--p", "0.1",
+                                      "--K", "100", f"--samples={samples}", "--method", "mc"])
+        assert code == 2
+        assert out == ""
+        assert "samples must be >= 1" in err
+
     def test_never_beats_capacity(self, capsys):
         _, cap_out, _ = run(capsys, ["capacity", *CH])
         code, out, _ = run(capsys, ["optimize", *CH, "--K", "3"])
@@ -243,6 +309,41 @@ class TestReplay:
              "--M", "256", "--trials", "2", "--dump", str(tmp_path / "x.bin")],
         )
         assert code == 2
+
+    def test_block_size_not_dividing_pool_exits_2_before_clustering(
+        self, capsys, tmp_path, monkeypatch
+    ):
+        dump = tmp_path / "chan.bin"
+        code, _, _ = run(capsys, [*SIM, "--trials", "1", "--seed", "1", "--dump", str(dump)])
+        assert code == 0
+
+        def no_clustering(output, config):
+            raise AssertionError("clustering ran")
+
+        monkeypatch.setattr(decoder, "greedy_cluster", no_clustering)
+        code, out, err = run(
+            capsys,
+            ["replay", "--in", str(dump), "--p", "0.1", "--K", "3",
+             "--rix", "0.5304", "--rin", "0.4", "--rout", "0.8"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "divide" in err
+
+    @pytest.mark.parametrize("m,length,origins", [(0, 8, []), (4, 0, [0, 1])],
+                             ids=["no strands", "zero length"])
+    def test_empty_dimensions_exit_4(self, capsys, tmp_path, m, length, origins):
+        dump = tmp_path / "empty.bin"
+        header = struct.pack("<4sHQQQ", b"DNAC", 1, m, length, len(origins))
+        dump.write_bytes(header + struct.pack(f"<{len(origins)}Q", *origins))
+        code, out, err = run(
+            capsys,
+            ["replay", "--in", str(dump), "--c", "2", "--beta", "0.05", "--p", "0.1",
+             "--K", "1", "--rix", "0.5304", "--rin", "0.4", "--rout", "0.8"],
+        )
+        assert code == 4
+        assert out == ""
+        assert "M=" in err and "L=" in err
 
     def test_corrupt_dump_exits_4(self, capsys, tmp_path):
         bad = tmp_path / "bad.bin"

@@ -12,6 +12,8 @@ from dnarate import (
     SchemeParams,
     achievable_outer_rate_exact,
     count_wrong_clusters,
+    decode,
+    derive_seed,
     draw_histogram,
     gated_capacity_table,
     greedy_cluster,
@@ -23,6 +25,7 @@ from dnarate import (
     run_pipeline,
     simulate_channel,
 )
+from dnarate import decoder as decoder_module
 from dnarate.channel import ChannelOutput, pack_bits
 
 C1 = multi_draw_capacity(1, 0.1)
@@ -214,6 +217,30 @@ class TestOuterSuccess:
 
     def test_one_error_tips_it(self):
         assert not outer_success(9, 1, 100, 0.9)
+
+
+class TestDecode:
+    SCHEME = SchemeParams(K=2, r_ix=0.5304, r_in=0.4, r_out=0.8)
+
+    def trial_zero(self, seed):
+        dims = InstanceDims.from_channel(PARAMS, 256, 2)
+        pool = random_pool(dims, derive_seed(seed, "pipeline.pool", 0))
+        return simulate_channel(pool, PARAMS, derive_seed(seed, "pipeline.channel", 0))
+
+    @pytest.mark.parametrize("config", [None, ClusteringConfig(rho=0.3)])
+    def test_matches_pipeline_trial(self, config):
+        report = decode(self.trial_zero(4), PARAMS, self.SCHEME, config)
+        result = run_pipeline(PARAMS, self.SCHEME, 256, 1, seed=4, clustering=config)
+        assert report == result.reports[0]
+
+    def test_block_tiling_checked_before_clustering(self, monkeypatch):
+        def no_clustering(output, config):
+            raise AssertionError("clustering ran")
+
+        monkeypatch.setattr(decoder_module, "greedy_cluster", no_clustering)
+        scheme = SchemeParams(K=3, r_ix=0.5304, r_in=0.4, r_out=0.8)
+        with pytest.raises(ValueError, match="divide"):
+            decode(self.trial_zero(6), PARAMS, scheme)
 
 
 class TestRunPipeline:

@@ -1,6 +1,7 @@
 import itertools
 import math
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +182,27 @@ class TestExactOuterRate:
         assert np.all(np.diff(types, axis=1) >= 0) and np.all(types.sum(axis=1) <= d_max)
         assert len({tuple(t) for t in types}) == len(types)
         assert math.fsum(weights) + truncation == pytest.approx(1.0, abs=1e-13)
+
+    def test_cap_compared_without_the_full_coefficient(self):
+        # The cap test must agree with math.comb on either side of the cap.
+        for d_max in range(0, 40):
+            for K in range(1, 40):
+                n = math.comb(d_max + K, K)
+                for cap in (n - 1, n, n + 1):
+                    assert rates._vectors_within(d_max, K, cap) == (n <= cap)
+        # A numpy block size (SchemeParams accepts one) must not overflow.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert not rates._vectors_within(40_000, np.int64(20_000), 10**18)
+
+    def test_auto_refuses_huge_block_quickly(self):
+        # C(d_max + K, K) has about 800,000 digits at K = 10^6.
+        start = time.perf_counter()
+        feasible = rates._exact_feasible(
+            ChannelParams(2, 0.05, 0.1), 10**6, 1e-12, rates.AUTO_EXACT_VECTORS
+        )
+        assert feasible is False
+        assert time.perf_counter() - start < 5.0
 
     def test_cap_refused_loudly(self):
         scheme = SchemeParams(K=64, r_ix=RIX1, r_in=0.5, r_out=1.0)
@@ -436,3 +458,13 @@ class TestOptimizeScheme:
     def test_grid_validation(self):
         with pytest.raises(ValueError):
             optimize_scheme(params_for(1), 1, rin_grid=1)
+
+    @pytest.mark.parametrize("K", [0, 2.5, 2.0, True])
+    def test_block_size_checked_like_scheme_params(self, K):
+        with pytest.raises(ValueError, match="K out of range"):
+            optimize_scheme(params_for(1), K)
+
+    @pytest.mark.parametrize("samples", [0, -5])
+    def test_mc_sample_budget_checked(self, samples):
+        with pytest.raises(ValueError, match="samples must be >= 1"):
+            optimize_scheme(params_for(2), 100, samples=samples, method="mc")
