@@ -24,14 +24,12 @@ from .rates import (
     SchemeParams,
     achievable_outer_rate_exact,
     achievable_outer_rate_mc,
-    asymptotic_rate,
     channel_capacity,
     mean_gated_capacity,
     optimize_scheme,
     overall_rate,
     _check_tail_eps,
-    _exact_feasible,
-    AUTO_EXACT_VECTORS,
+    _use_exact,
 )
 
 __all__ = ["main"]
@@ -39,30 +37,24 @@ __all__ = ["main"]
 CURVE_HEADER = "sweep_var,R_ix,R_in,R_out,R,stderr,method"
 SIM_HEADER = "trial,M_C,M_Ix,M_In,s,t,success"
 
-# Config files may set exactly the shared flags.
-CONFIG_KEYS = {
-    "c": float,
-    "beta": float,
-    "p": float,
-    "K": int,
-    "rix": float,
-    "rin": float,
-    "rout": float,
-    "samples": int,
-    "seed": int,
-    "tail_eps": float,
-    "threads": int,
-    "out": str,
-    "format": str,
-}
-
-DEFAULTS = {
-    "samples": 10_000,
-    "seed": 0,
-    "tail_eps": 1e-12,
-    "format": "csv",
-    "method": "auto",
-    "trials": 1,
+# The flags every subcommand shares, as dest: (type, default, help); a tuple
+# type lists the allowed values. A flag is spelt --dest with "_" as "-". A
+# config file may set exactly these, converted and checked as the flag would
+# be; the default fills in what neither sets.
+SHARED_FLAGS = {
+    "c": (float, None, "reading rate (reads per strand)"),
+    "beta": (float, None, "strand density log2(M)/L"),
+    "p": (float, None, "per-bit flip probability"),
+    "K": (int, None, "strands per inner block"),
+    "rix": (float, None, "index code rate"),
+    "rin": (float, None, "inner code rate"),
+    "rout": (float, None, "outer code rate"),
+    "samples": (int, 10_000, "Monte-Carlo sample budget"),
+    "seed": (int, 0, "master seed"),
+    "tail_eps": (float, 1e-12, "Poisson tail mass allowed outside truncated sums"),
+    "threads": (int, None, "worker threads (default: DNARATE_THREADS or all cores)"),
+    "out": (str, None, "output file path"),
+    "format": (("csv", "json"), "csv", None),
 }
 
 
@@ -96,25 +88,25 @@ def _read_config(path):
         if "=" not in line:
             raise CliError(2, f"{path}:{lineno}: expected 'key = value'")
         key, val = (part.strip() for part in line.split("=", 1))
-        if key not in CONFIG_KEYS:
+        if key not in SHARED_FLAGS:
             raise CliError(2, f"{path}:{lineno}: unknown config key {key!r}")
+        kind = SHARED_FLAGS[key][0]
         try:
-            values[key] = CONFIG_KEYS[key](val)
+            if isinstance(kind, tuple) and val not in kind:
+                raise ValueError(val)
+            values[key] = val if isinstance(kind, tuple) else kind(val)
         except ValueError:
             raise CliError(2, f"{path}:{lineno}: bad value for {key}: {val!r}")
     return values
 
 
 def _merge(args):
-    """Apply config-file values under explicit flags, then built-in defaults."""
-    config = _read_config(args.config) if getattr(args, "config", None) else {}
-    for key, value in config.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    for key, value in DEFAULTS.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, value)
-    if getattr(args, "threads", None) is None:
+    """Fill shared flags left unset from the config file, then the defaults."""
+    config = _read_config(args.config) if args.config else {}
+    for key, (_, default, _) in SHARED_FLAGS.items():
+        if getattr(args, key) is None:
+            setattr(args, key, config.get(key, default))
+    if args.threads is None:
         args.threads = _default_threads()
     return args
 
@@ -145,23 +137,38 @@ def _fmt6(x):
     return f"{x:.6f}"
 
 
-def _open_out(path):
+def _write(path, body):
+    """Write body to the file at path, or to stdout when path is None."""
+    if path is None:
+        sys.stdout.write(body)
+        return
     try:
-        return open(path, "w", encoding="utf-8", newline="\n")
+        with open(path, "w", encoding="utf-8", newline="\n") as fh:
+            fh.write(body)
     except OSError as exc:
         raise CliError(4, f"cannot write {path}: {exc}")
 
 
-def _emit(args, text_lines, json_obj):
+def _emit(args, csv_text, json_obj):
     """Write the optional file row for a scalar-style command."""
-    if args.out is None:
-        return
-    with _open_out(args.out) as fh:
-        if args.format == "json":
-            json.dump(json_obj, fh, indent=2)
-            fh.write("\n")
-        else:
-            fh.write(text_lines)
+    if args.out is not None:
+        body = json.dumps(json_obj, indent=2) + "\n" if args.format == "json" else csv_text
+        _write(args.out, body)
+
+
+def _table(header, rows, fmt):
+    """CSV or JSON body of rows under a comma-separated header. A bool is 0/1
+    in CSV; floats keep full precision in both."""
+    if fmt == "json":
+        keys = header.split(",")
+        return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+
+    def cell(v):
+        if isinstance(v, bool):
+            return str(int(v))
+        return repr(float(v)) if isinstance(v, float) else str(v)
+
+    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -184,15 +191,15 @@ def _estimate(params, scheme, args):
     # hides the invalid scheme behind exit code 3.
     if scheme.r_ix <= params.beta:
         raise CliError(2, f"rix must exceed beta ({params.beta}), got {scheme.r_ix}")
-    if args.method == "exact":
-        return achievable_outer_rate_exact(params, scheme, args.tail_eps)
-    if args.method == "mc":
-        return achievable_outer_rate_mc(
-            params, scheme, args.samples, args.seed, args.threads
-        )
-    if _exact_feasible(params, scheme.K, args.tail_eps, AUTO_EXACT_VECTORS):
+    if _use_exact(params, scheme.K, args.method, args.tail_eps):
         return achievable_outer_rate_exact(params, scheme, args.tail_eps)
     return achievable_outer_rate_mc(params, scheme, args.samples, args.seed, args.threads)
+
+
+def _optimize(params, K, args):
+    return optimize_scheme(params, K, samples=args.samples, seed=args.seed,
+                           method=args.method, tail_eps=args.tail_eps,
+                           threads=args.threads)
 
 
 def cmd_rate(args):
@@ -244,45 +251,25 @@ def _curve_rows(args):
     if args.sweep == "K":
         params = _channel(args)
         for k in values:
-            res = optimize_scheme(
-                params,
-                k,
-                samples=args.samples,
-                seed=args.seed,
-                method=args.method,
-                tail_eps=args.tail_eps,
-                threads=args.threads,
-            )
+            res = _optimize(params, k, args)
             rows.append(
                 (k, res.scheme.r_ix, res.scheme.r_in, res.rate.value, res.overall,
                  res.rate.stderr, res.rate.method)
             )
         return rows
-    if args.sweep == "rin":
+    if args.sweep == "rin" and args.K == 0:
+        # Infinite-block-size limit: the outer rate is a step function of
+        # the inner rate at the mean gated capacity.
         params = _channel(args)
-        _need(args, "K", "rix")
-        if args.K == 0:
-            # Infinite-block-size limit: the outer rate is a step function of
-            # the inner rate at the mean gated capacity.
-            mean = mean_gated_capacity(params, args.rix, args.tail_eps)
-            for rin in values:
-                r_out = 1.0 if rin < mean else 0.0
-                rows.append((rin, args.rix, rin, r_out,
-                             overall_rate(rin, r_out, args.rix, params.beta),
-                             0.0, "asymptotic"))
-            return rows
+        _need(args, "rix")
+        mean = mean_gated_capacity(params, args.rix, args.tail_eps)
         for rin in values:
-            ns = argparse.Namespace(**vars(args))
-            ns.rin = rin
-            scheme = _scheme(ns)
-            est = _estimate(params, scheme, args)
-            rows.append(
-                (rin, scheme.r_ix, rin, est.value,
-                 overall_rate(rin, est.value, scheme.r_ix, params.beta),
-                 est.stderr, est.method)
-            )
+            r_out = 1.0 if rin < mean else 0.0
+            rows.append((rin, args.rix, rin, r_out,
+                         overall_rate(rin, r_out, args.rix, params.beta),
+                         0.0, "asymptotic"))
         return rows
-    # sweep c or p with a fixed scheme
+    # sweep rin, c or p with the rest of the scheme fixed
     for val in values:
         ns = argparse.Namespace(**vars(args))
         setattr(ns, args.sweep, val)
@@ -298,37 +285,14 @@ def _curve_rows(args):
 
 
 def cmd_curve(args):
-    rows = _curve_rows(args)
-    if args.format == "json":
-        keys = ("sweep_var", "R_ix", "R_in", "R_out", "R", "stderr", "method")
-        body = json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
-    else:
-        lines = [CURVE_HEADER]
-        for row in rows:
-            lines.append(
-                ",".join(repr(float(v)) if isinstance(v, float) else str(v) for v in row)
-            )
-        body = "\n".join(lines) + "\n"
-    if args.out is None:
-        sys.stdout.write(body)
-    else:
-        with _open_out(args.out) as fh:
-            fh.write(body)
+    _write(args.out, _table(CURVE_HEADER, _curve_rows(args), args.format))
     return 0
 
 
 def cmd_optimize(args):
     params = _channel(args)
     _need(args, "K")
-    res = optimize_scheme(
-        params,
-        args.K,
-        samples=args.samples,
-        seed=args.seed,
-        method=args.method,
-        tail_eps=args.tail_eps,
-        threads=args.threads,
-    )
+    res = _optimize(params, args.K, args)
     obj = {
         "K": args.K,
         "d_candidate": res.d_candidate,
@@ -360,16 +324,6 @@ def cmd_optimize(args):
     return 0
 
 
-def _report_rows(reports):
-    lines = [SIM_HEADER]
-    for i, rep in enumerate(reports):
-        lines.append(
-            f"{i},{rep.m_wrong_clusters},{rep.m_wrong_index},{rep.m_wrong_inner},"
-            f"{rep.erasures},{rep.errors},{int(rep.outer_success)}"
-        )
-    return "\n".join(lines) + "\n"
-
-
 def cmd_simulate(args):
     params = _channel(args)
     scheme = _scheme(args, need_rout=True)
@@ -392,29 +346,12 @@ def cmd_simulate(args):
             dump_channel(output, args.dump)
         except OSError as exc:
             raise CliError(4, f"cannot write {args.dump}: {exc}")
-    if args.format == "json":
-        body = json.dumps(
-            [
-                {
-                    "trial": i,
-                    "M_C": r.m_wrong_clusters,
-                    "M_Ix": r.m_wrong_index,
-                    "M_In": r.m_wrong_inner,
-                    "s": r.erasures,
-                    "t": r.errors,
-                    "success": r.outer_success,
-                }
-                for i, r in enumerate(result.reports)
-            ],
-            indent=2,
-        ) + "\n"
-    else:
-        body = _report_rows(result.reports)
-    if args.out is None:
-        sys.stdout.write(body)
-    else:
-        with _open_out(args.out) as fh:
-            fh.write(body)
+    rows = [
+        (i, r.m_wrong_clusters, r.m_wrong_index, r.m_wrong_inner, r.erasures, r.errors,
+         r.outer_success)
+        for i, r in enumerate(result.reports)
+    ]
+    _write(args.out, _table(SIM_HEADER, rows, args.format))
     print(f"success_rate = {_fmt6(result.success_rate)}")
     return 0
 
@@ -449,21 +386,10 @@ def cmd_replay(args):
 # Argument parsing
 
 def _add_shared(sub):
-    sub.add_argument("--c", type=float, default=None, help="reading rate (reads per strand)")
-    sub.add_argument("--beta", type=float, default=None, help="strand density log2(M)/L")
-    sub.add_argument("--p", type=float, default=None, help="per-bit flip probability")
-    sub.add_argument("--K", type=int, default=None, help="strands per inner block")
-    sub.add_argument("--rix", type=float, default=None, help="index code rate")
-    sub.add_argument("--rin", type=float, default=None, help="inner code rate")
-    sub.add_argument("--rout", type=float, default=None, help="outer code rate")
-    sub.add_argument("--samples", type=int, default=None, help="Monte-Carlo sample budget")
-    sub.add_argument("--seed", type=int, default=None, help="master seed")
-    sub.add_argument("--tail-eps", dest="tail_eps", type=float, default=None,
-                     help="Poisson tail mass allowed outside truncated sums")
-    sub.add_argument("--threads", type=int, default=None,
-                     help="worker threads (default: DNARATE_THREADS or all cores)")
-    sub.add_argument("--out", type=str, default=None, help="output file path")
-    sub.add_argument("--format", choices=("csv", "json"), default=None)
+    # Left unset (None) here, so that _merge can tell a config value apart.
+    for key, (kind, _, help_) in SHARED_FLAGS.items():
+        check = {"choices": kind} if isinstance(kind, tuple) else {"type": kind}
+        sub.add_argument("--" + key.replace("_", "-"), dest=key, help=help_, **check)
     sub.add_argument("--config", type=str, default=None,
                      help="key = value config file; flags override it")
 
@@ -475,42 +401,37 @@ def _build_parser():
     )
     subs = parser.add_subparsers(dest="command", required=True)
 
-    p = subs.add_parser("capacity", help="channel capacity")
-    _add_shared(p)
-    p.set_defaults(func=cmd_capacity)
+    def command(name, help_, func):
+        p = subs.add_parser(name, help=help_)
+        _add_shared(p)
+        p.set_defaults(func=func)
+        return p
 
-    p = subs.add_parser("rate", help="achievable outer and overall rate")
-    _add_shared(p)
-    p.add_argument("--method", choices=("exact", "mc", "auto"), default=None)
-    p.set_defaults(func=cmd_rate)
+    methods = ("exact", "mc", "auto")
+    command("capacity", "channel capacity", cmd_capacity)
 
-    p = subs.add_parser("curve", help="sweep one variable, emit CSV")
-    _add_shared(p)
+    p = command("rate", "achievable outer and overall rate", cmd_rate)
+    p.add_argument("--method", choices=methods, default="auto")
+
+    p = command("curve", "sweep one variable, emit CSV", cmd_curve)
     p.add_argument("--sweep", choices=("K", "rin", "c", "p"), required=True)
     p.add_argument("--values", type=str, default=None,
                    help="comma-separated, strictly increasing sweep values")
-    p.add_argument("--method", choices=("exact", "mc", "auto"), default=None)
-    p.set_defaults(func=cmd_curve)
+    p.add_argument("--method", choices=methods, default="auto")
 
-    p = subs.add_parser("optimize", help="best scheme parameters for a block size")
-    _add_shared(p)
-    p.add_argument("--method", choices=("exact", "mc", "auto"), default=None)
-    p.set_defaults(func=cmd_optimize)
+    p = command("optimize", "best scheme parameters for a block size", cmd_optimize)
+    p.add_argument("--method", choices=methods, default="auto")
 
-    p = subs.add_parser("simulate", help="end-to-end decode pipeline trials")
-    _add_shared(p)
+    p = command("simulate", "end-to-end decode pipeline trials", cmd_simulate)
     p.add_argument("--M", type=int, default=None, help="number of stored strands")
-    p.add_argument("--trials", type=int, default=None)
+    p.add_argument("--trials", type=int, default=1)
     p.add_argument("--rho", type=float, default=None, help="clustering diameter fraction")
     p.add_argument("--dump", type=str, default=None,
                    help="record the channel output for replay (needs --trials 1)")
-    p.set_defaults(func=cmd_simulate)
 
-    p = subs.add_parser("replay", help="rerun the decoder on a recorded channel output")
-    _add_shared(p)
+    p = command("replay", "rerun the decoder on a recorded channel output", cmd_replay)
     p.add_argument("--in", dest="infile", type=str, default=None, help="channel dump path")
     p.add_argument("--rho", type=float, default=None)
-    p.set_defaults(func=cmd_replay)
 
     return parser
 

@@ -17,7 +17,7 @@ import numpy as np
 from .channel import InstanceDims, random_pool, simulate_channel
 from .multidraw import gated_capacity_table
 from .rates import validate_scheme
-from .seeding import _map_chunks, derive_seed
+from .seeding import _check_threads, _map_chunks, derive_seed
 
 __all__ = [
     "ClusteringConfig",
@@ -357,6 +357,7 @@ def run_pipeline(
     """
     if trials < 1:
         raise ValueError(f"trials must be >= 1, got {trials!r}")
+    _check_threads(threads)
     dims = InstanceDims.from_channel(params, M, scheme.K)
     work = dims.N**2 * dims.L
     if work > budget:

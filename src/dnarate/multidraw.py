@@ -33,6 +33,14 @@ def check_crossover(p):
     return p
 
 
+def _check_index_rate(r_ix):
+    """Validate an index code rate; must lie in (0, 1)."""
+    r_ix = float(r_ix)
+    if not 0.0 < r_ix < 1.0:
+        raise ValueError(f"r_ix out of range: must be in (0, 1), got {r_ix!r}")
+    return r_ix
+
+
 def binom_pmf(d, p, i):
     """Probability of exactly i flips among d independent Ber(p) trials.
 
@@ -143,9 +151,7 @@ def multi_draw_capacity(d, p):
 def gated_capacity(d, p, r_ix):
     """Capacity of the d-fold observation channel, zeroed when it cannot
     carry an index of rate r_ix (strict comparison)."""
-    r_ix = float(r_ix)
-    if not 0.0 < r_ix < 1.0:
-        raise ValueError(f"r_ix must be in (0, 1), got {r_ix!r}")
+    r_ix = _check_index_rate(r_ix)
     cap = multi_draw_capacity(d, p)
     return cap if cap > r_ix else 0.0
 
@@ -160,8 +166,6 @@ def capacity_table(p, d_max):
 
 def gated_capacity_table(p, d_max, r_ix):
     """Array of index-gated capacities for d = 0 .. d_max."""
-    r_ix = float(r_ix)
-    if not 0.0 < r_ix < 1.0:
-        raise ValueError(f"r_ix must be in (0, 1), got {r_ix!r}")
+    r_ix = _check_index_rate(r_ix)
     tab = capacity_table(p, d_max)
     return np.where(tab > r_ix, tab, 0.0)

@@ -19,13 +19,14 @@ import numpy as np
 from scipy.special import gammaln, pdtrc
 
 from .multidraw import (
+    _check_index_rate,
     binary_entropy,
     capacity_table,
     check_crossover,
     gated_capacity_table,
     multi_draw_capacity,
 )
-from .seeding import _map_chunks, substream
+from .seeding import _check_threads, _map_chunks, substream
 
 __all__ = [
     "ChannelParams",
@@ -101,8 +102,7 @@ class SchemeParams:
 
     def __post_init__(self):
         _check_block_size(self.K)
-        if not 0.0 < self.r_ix < 1.0:
-            raise ValueError(f"r_ix out of range: must be in (0, 1), got {self.r_ix!r}")
+        _check_index_rate(self.r_ix)
         if not 0.0 < self.r_in < 1.0:
             raise ValueError(f"r_in out of range: must be in (0, 1), got {self.r_in!r}")
         if not 0.0 < self.r_out <= 1.0:
@@ -268,7 +268,23 @@ def _vectors_within(d_max, K, cap):
 
 
 def _exact_feasible(params, K, tail_eps, cap):
+    # For tail_eps <= 1/2 the cut is at least the Poisson(K*c) median, so at
+    # least ceil(K*c) - 1; a count past the cap below that is refused before
+    # the Poisson(K*c) table is built.
+    low_cut = max(0, math.ceil(K * params.c) - 2)
+    if tail_eps <= 0.5 and not _vectors_within(low_cut, K, cap):
+        return False
     return _vectors_within(_enum_cut(params, K, tail_eps)[0], K, cap)
+
+
+def _use_exact(params, K, method, tail_eps):
+    """Whether `method` evaluates the outer rate exactly: always for "exact",
+    and for "auto" while enumeration stays within AUTO_EXACT_VECTORS."""
+    if method not in ("auto", "exact", "mc"):
+        raise ValueError(f"method must be auto, exact or mc, got {method!r}")
+    return method == "exact" or (
+        method == "auto" and _exact_feasible(params, K, tail_eps, AUTO_EXACT_VECTORS)
+    )
 
 
 def _exact_support(params, K, tail_eps, enum_cap):
@@ -279,12 +295,12 @@ def _exact_support(params, K, tail_eps, enum_cap):
     Poisson masses, where m_i counts the repeats of each draw value.
     The cap is counted in ordered vectors, C(d_max + K, K).
     """
-    d_max, truncation = _enum_cut(params, K, tail_eps)
-    if not _vectors_within(d_max, K, enum_cap):
+    if not _exact_feasible(params, K, tail_eps, enum_cap):
         raise EnumerationCapError(
             f"exact enumeration needs more than {enum_cap} draw vectors; "
             "use the Monte-Carlo estimator"
         )
+    d_max, truncation = _enum_cut(params, K, tail_eps)
     types = np.arange(d_max // K + 1)[:, None]
     total = types[:, 0].copy()
     run = np.ones(len(types))  # length of the run of equal values ending each row
@@ -362,6 +378,7 @@ def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
     and the integer success counts are combined in chunk order, so the
     estimate is bit-identical for any thread count.
     """
+    _check_threads(threads)
     sizes = _chunk_sizes(samples)
     _, cdf = _poisson_tables(params.c)
     gtab = gated_capacity_table(params.p, len(cdf) - 1, scheme.r_ix)
@@ -383,9 +400,7 @@ def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
 def overall_rate(r_in, r_out, r_ix, beta):
     """Net information rate: outer times inner rate, discounted by the
     per-strand index overhead beta / r_ix."""
-    r_ix = float(r_ix)
-    if not 0.0 < r_ix < 1.0:
-        raise ValueError(f"r_ix must be in (0, 1), got {r_ix!r}")
+    r_ix = _check_index_rate(r_ix)
     if not beta < r_ix:
         raise ValueError(
             f"beta ({beta!r}) must be below r_ix ({r_ix!r}); "
@@ -567,13 +582,8 @@ def optimize_scheme(
     if rin_grid < 2:
         raise ValueError(f"rin_grid must be >= 2, got {rin_grid!r}")
     _check_block_size(K)
-    if method not in ("auto", "exact", "mc"):
-        raise ValueError(f"method must be auto, exact or mc, got {method!r}")
-
-    use_exact = method == "exact" or (
-        method == "auto" and _exact_feasible(params, K, tail_eps, AUTO_EXACT_VECTORS)
-    )
-
+    _check_threads(threads)
+    use_exact = _use_exact(params, K, method, tail_eps)
     if use_exact:
         types, weights, truncation, d_max_tab = _exact_support(
             params, K, tail_eps, enum_cap

@@ -34,6 +34,11 @@ def derive_seed(seed, tag, index=0):
     return int(ss.generate_state(1, np.uint64)[0])
 
 
+def _check_threads(threads):
+    if not threads >= 1:
+        raise ValueError(f"threads out of range: must be >= 1, got {threads!r}")
+
+
 def _map_chunks(fn, n_chunks, threads):
     """[fn(0), ..., fn(n_chunks - 1)], computed on up to `threads` threads."""
     if threads > 1 and n_chunks > 1:

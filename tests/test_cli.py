@@ -1,3 +1,4 @@
+import json
 import struct
 import subprocess
 import sys
@@ -5,7 +6,7 @@ import sys
 import pytest
 
 from dnarate import decoder, overall_rate
-from dnarate.cli import main
+from dnarate.cli import CURVE_HEADER, SIM_HEADER, main
 
 CH = ["--c", "1", "--beta", "0.05", "--p", "0.1"]
 
@@ -50,6 +51,14 @@ INVALID = {
     "rix below beta, exact at K=1000": (
         ["rate", *CH, "--K", "1000", "--rix", "0.04", "--rin", "0.4",
          "--method", "exact"], 2),
+    "asymptotic curve rix 1.5": (
+        ["curve", "--sweep", "rin", "--values", "0.5", *CH, "--K", "0", "--rix", "1.5"], 2),
+    "mc threads zero": (["rate", *CH, *SCHEME, "--method", "mc", "--threads", "0"], 2),
+    "mc threads negative": (["rate", *CH, *SCHEME, "--method", "mc", "--threads", "-3"], 2),
+    "optimize threads negative": (["optimize", *CH, "--K", "1", "--threads", "-3"], 2),
+    "curve K sweep threads zero": (
+        ["curve", "--sweep", "K", "--values", "1", *CH, "--threads", "0"], 2),
+    "simulate threads zero": ([*SIM, "--threads", "0"], 2),
 }
 
 
@@ -193,6 +202,47 @@ class TestCurve:
         assert [float(r[3]) for r in rows] == [1.0, 1.0, 0.0]
         assert all(r[6] == "asymptotic" for r in rows)
 
+    def test_asymptotic_index_rate_checked(self, capsys):
+        code, out, err = run(
+            capsys,
+            ["curve", "--sweep", "rin", "--values", "0.5", *CH, "--K", "0", "--rix", "1.5"],
+        )
+        assert code == 2
+        assert out == ""
+        assert "r_ix out of range" in err
+
+    def test_inner_rate_sweep_needs_block_size(self, capsys):
+        code, out, err = run(
+            capsys, ["curve", "--sweep", "rin", "--values", "0.5", *CH, "--rix", "0.5304"]
+        )
+        assert code == 2
+        assert out == ""
+        assert "--K is required" in err
+
+    @pytest.mark.parametrize(
+        "sweep",
+        [
+            ["--sweep", "K", "--values", "1,2,3", "--samples", "2000"],
+            ["--sweep", "rin", "--values", "0.3,0.45,0.6", "--K", "2", "--rix", "0.5304"],
+            ["--sweep", "rin", "--values", "0.3,0.63,0.65", "--K", "0", "--rix", "0.5304"],
+        ],
+        ids=["K", "rin", "rin asymptotic"],
+    )
+    def test_json_rows_match_csv(self, capsys, sweep):
+        argv = ["curve", *sweep, "--c", "2", "--beta", "0.05", "--p", "0.1"]
+        code, csv_out, _ = run(capsys, argv)
+        assert code == 0
+        code, json_out, _ = run(capsys, [*argv, "--format", "json"])
+        assert code == 0
+        header, *lines = csv_out.splitlines()
+        assert header == CURVE_HEADER
+        objs = json.loads(json_out)
+        assert [list(o) for o in objs] == [CURVE_HEADER.split(",")] * len(lines)
+        for obj, line in zip(objs, lines):
+            *numbers, method = line.split(",")
+            assert [float(v) for v in list(obj.values())[:-1]] == [float(v) for v in numbers]
+            assert obj["method"] == method
+
     def test_values_must_increase(self, capsys):
         code, _, err = run(
             capsys, ["curve", "--sweep", "K", "--values", "3,1", *CH]
@@ -249,6 +299,26 @@ class TestSimulate:
         assert lines[0] == "trial,M_C,M_Ix,M_In,s,t,success"
         assert len(lines) == 4
         assert out.startswith("success_rate = ")
+
+    def test_json_rows_match_csv(self, capsys):
+        code, csv_out, _ = run(capsys, [*self.ARGS, "--trials", "4"])
+        assert code == 0
+        code, json_out, _ = run(capsys, [*self.ARGS, "--trials", "4", "--format", "json"])
+        assert code == 0
+        csv_lines = csv_out.splitlines()
+        json_lines = json_out.splitlines()
+        # The success_rate summary follows the table on stdout in both formats.
+        assert csv_lines[-1] == json_lines[-1]
+        header, *rows = csv_lines[:-1]
+        assert header == SIM_HEADER
+        objs = json.loads("\n".join(json_lines[:-1]))
+        assert len(objs) == len(rows) == 4
+        for obj, row in zip(objs, rows):
+            assert list(obj) == SIM_HEADER.split(",")
+            assert isinstance(obj["success"], bool)
+            cells = row.split(",")
+            assert cells[-1] in ("0", "1")
+            assert [int(obj[k]) for k in obj] == [int(v) for v in cells]
 
     def test_zero_trials_rejected(self, capsys):
         code, _, err = run(capsys, [*self.ARGS, "--trials", "0"])
@@ -377,6 +447,39 @@ class TestConfig:
         code, _, err = run(capsys, ["capacity", "--config", str(cfg)])
         assert code == 2
         assert "unknown config key" in err
+
+    def test_format_value_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("format = xml\n")
+        code, out, err = run(capsys, ["capacity", *CH, "--config", str(cfg),
+                                      "--out", str(tmp_path / "cap.txt")])
+        assert code == 2
+        assert out == ""
+        assert "bad value for format" in err
+        assert not (tmp_path / "cap.txt").exists()
+
+    def test_integer_value_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("rin = 0.5\nK = 2.5\n")
+        code, _, err = run(capsys, ["rate", *CH, "--rix", "0.5304", "--config", str(cfg)])
+        assert code == 2
+        assert "bad value for K" in err
+
+    def test_threads_value_checked(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("threads = -7\n")
+        code, out, err = run(capsys, ["rate", *CH, *SCHEME, "--method", "mc",
+                                      "--config", str(cfg)])
+        assert code == 2
+        assert out == ""
+        assert "threads out of range: must be >= 1, got -7" in err
+
+    def test_threads_env_clamped(self, capsys, monkeypatch):
+        monkeypatch.setenv("DNARATE_THREADS", "0")
+        code, out, _ = run(capsys, ["rate", *CH, *SCHEME, "--method", "mc",
+                                    "--samples", "1000"])
+        assert code == 0
+        assert "method = monte_carlo" in out
 
     def test_threads_env_default(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("DNARATE_THREADS", "2")

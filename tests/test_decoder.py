@@ -256,6 +256,12 @@ class TestRunPipeline:
         b = run_pipeline(PARAMS, scheme, 256, 3, seed=2, threads=3)
         assert a == b
 
+    @pytest.mark.parametrize("threads", [0, -2])
+    def test_thread_count_checked(self, threads):
+        scheme = SchemeParams(K=2, r_ix=0.5304, r_in=0.4, r_out=0.8)
+        with pytest.raises(ValueError, match="threads out of range: must be >= 1"):
+            run_pipeline(PARAMS, scheme, 256, 1, seed=0, threads=threads)
+
     def test_block_tiling_enforced(self):
         scheme = SchemeParams(K=3, r_ix=0.5304, r_in=0.4, r_out=0.8)
         with pytest.raises(ValueError):

@@ -10,6 +10,7 @@ from dnarate import (
     capacity_table,
     check_crossover,
     gated_capacity,
+    gated_capacity_table,
     multi_draw_capacity,
     poisson_pmf,
     poisson_pmf_vec,
@@ -201,3 +202,10 @@ class TestGatedCapacity:
             gated_capacity(1, 0.1, 0.0)
         with pytest.raises(ValueError):
             gated_capacity(1, 0.1, 1.0)
+
+    @pytest.mark.parametrize("r_ix", [0.0, 1.0, -0.5, float("nan")])
+    def test_gate_domain_wording(self, r_ix):
+        with pytest.raises(ValueError, match="r_ix out of range: must be in"):
+            gated_capacity(1, 0.1, r_ix)
+        with pytest.raises(ValueError, match="r_ix out of range: must be in"):
+            gated_capacity_table(0.1, 4, r_ix)

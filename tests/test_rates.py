@@ -204,6 +204,40 @@ class TestExactOuterRate:
         assert feasible is False
         assert time.perf_counter() - start < 5.0
 
+    def test_auto_refusal_builds_no_huge_table(self, monkeypatch):
+        # The cut's lower bound already passes the cap at K = 10^6, so the
+        # Poisson(2 * 10^6) table (about two million entries) is never built.
+        tables = rates._poisson_tables
+        built = []
+
+        def recording_tables(c):
+            pmf, cdf = tables(c)
+            built.append(len(pmf))
+            return pmf, cdf
+
+        monkeypatch.setattr(rates, "_poisson_tables", recording_tables)
+        start = time.perf_counter()
+        feasible = rates._exact_feasible(
+            ChannelParams(2, 0.05, 0.1), 10**6, 1e-12, rates.AUTO_EXACT_VECTORS
+        )
+        assert feasible is False
+        assert time.perf_counter() - start < 0.5
+        assert all(n <= 10**5 for n in built)
+
+    @pytest.mark.parametrize("tail_eps", [0.5, 0.3, 0.1, 1e-3, 1e-6, 1e-12, 1e-15])
+    def test_tail_cut_lower_bound(self, tail_eps):
+        # _exact_feasible refuses on this bound before building the table.
+        for lam in [0.01, 0.3, 0.69, 0.7, 1, 1.3, 1.7, 2, 2.5, 3, 4.2, 7, 10.5,
+                    33, 64.9, 100, 777.7, 1000, 4321]:
+            _, cdf = rates._poisson_tables(lam)
+            assert rates._tail_cut(cdf, tail_eps) >= max(0, math.ceil(lam) - 2)
+
+    def test_method_name_checked(self):
+        with pytest.raises(ValueError, match="method must be auto, exact or mc"):
+            rates._use_exact(params_for(1), 1, "fast", 1e-12)
+        with pytest.raises(ValueError, match="method must be auto, exact or mc"):
+            optimize_scheme(params_for(1), 1, method="fast")
+
     def test_cap_refused_loudly(self):
         scheme = SchemeParams(K=64, r_ix=RIX1, r_in=0.5, r_out=1.0)
         with pytest.raises(EnumerationCapError, match="Monte-Carlo"):
@@ -248,6 +282,13 @@ class TestMonteCarloOuterRate:
             for t in (1, 2, 8)
         ]
         assert runs[0] == runs[1] == runs[2]
+
+
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_checked(self, threads):
+        scheme = SchemeParams(K=2, r_ix=RIX1, r_in=0.4, r_out=1.0)
+        with pytest.raises(ValueError, match="threads out of range: must be >= 1"):
+            achievable_outer_rate_mc(params_for(1), scheme, 1000, threads=threads)
 
 
 class TestTypeSampler:
@@ -301,6 +342,13 @@ class TestOverallRate:
 
     def test_zero_outer_rate(self):
         assert overall_rate(0.5, 0.0, 0.5, 0.05) == 0.0
+
+    @pytest.mark.parametrize("r_ix", [0.0, 1.0, 1.5, math.nan])
+    def test_index_rate_range(self, r_ix):
+        with pytest.raises(ValueError, match="r_ix out of range: must be in"):
+            overall_rate(0.5, 0.5, r_ix, 0.05)
+        with pytest.raises(ValueError, match="r_ix out of range: must be in"):
+            SchemeParams(K=1, r_ix=r_ix, r_in=0.5, r_out=1.0)
 
     def test_overhead_domain_error(self):
         with pytest.raises(ValueError):
@@ -468,3 +516,9 @@ class TestOptimizeScheme:
     def test_mc_sample_budget_checked(self, samples):
         with pytest.raises(ValueError, match="samples must be >= 1"):
             optimize_scheme(params_for(2), 100, samples=samples, method="mc")
+
+    @pytest.mark.parametrize("method", ["mc", "exact", "auto"])
+    @pytest.mark.parametrize("threads", [0, -3])
+    def test_thread_count_checked(self, method, threads):
+        with pytest.raises(ValueError, match="threads out of range: must be >= 1"):
+            optimize_scheme(params_for(2), 3, samples=1000, method=method, threads=threads)
