@@ -7,7 +7,8 @@ inner blocks of K strands coded at rate r_in, with each strand carrying its
 position index behind an index code of rate r_ix. This module computes the
 channel capacity, the largest outer rate the scheme can support (exactly by
 enumeration or by Monte-Carlo), the large-K limit of the overall rate, its
-supremum over index rates, and a grid optimizer for scheme parameters.
+supremum over index rates, and an optimizer for scheme parameters that takes
+the supremum over inner rates in closed form.
 """
 
 import math
@@ -199,14 +200,16 @@ def channel_capacity(params, tail_eps=1e-12):
 
     The Poisson mixture over per-strand draw counts is truncated at the
     smallest count whose tail mass is below tail_eps; since every capacity
-    term is at most 1, the result is within tail_eps of the full sum.
+    term is at most 1, the result is within tail_eps of the full sum. When
+    the indexing cost beta * (1 - e^-c) exceeds the mixture (noisy reads,
+    e.g. p near 1/2), no positive rate is achievable and 0.0 is returned.
     """
     _check_tail_eps(tail_eps)
     pmf, cdf = _poisson_tables(params.c)
     d_max = _tail_cut(cdf, tail_eps)
     ctab = capacity_table(params.p, d_max)
     mixture = float(np.dot(pmf[: d_max + 1], ctab))
-    return mixture - params.beta * (1.0 - math.exp(-params.c))
+    return max(0.0, mixture - params.beta * (1.0 - math.exp(-params.c)))
 
 
 def block_capacity(d, p, r_ix):
@@ -515,51 +518,24 @@ def _sample_count_matrix(params, K, samples, seed, threads=1):
     return counts
 
 
-def _sorted_rate_fn(values, weights=None):
-    """Map r -> total weight of values strictly above r, from sorted arrays."""
+def _best_inner_rate(values, weights, total):
+    """Supremum of r * W(V > r) / total over inner rates r, and its W / total.
+
+    W(V > r) is a step function falling at each block value v, so the
+    supremum is the largest v * W(V >= v), approached from just below v. The
+    reported inner rate is the float below v, where W(V > r) is W(V >= v)
+    exactly. Of equal values the first in sorted order has the largest tail.
+    """
     order = np.argsort(values, kind="stable")
     v = values[order]
-    if weights is None:
-        n = v.size
-
-        def rate(r):
-            return (n - int(np.searchsorted(v, r, side="right"))) / n
-
-    else:
-        w = weights[order]
-        suffix = np.concatenate([np.cumsum(w[::-1])[::-1], [0.0]])
-
-        def rate(r):
-            return float(suffix[int(np.searchsorted(v, r, side="right"))])
-
-    return rate
-
-
-def _refine(objective, lo, x, hi, steps=16):
-    """Shrink a bracket around the best objective value seen.
-
-    The objective is piecewise linear with downward jumps, so plain interval
-    halving around the incumbent recovers the supremum to bracket/2^steps.
-    """
-    fx = objective(x)
-    for _ in range(steps):
-        m1 = 0.5 * (lo + x)
-        m2 = 0.5 * (x + hi)
-        f1 = objective(m1)
-        f2 = objective(m2)
-        if f1 >= fx and f1 >= f2:
-            hi, x, fx = x, m1, f1
-        elif f2 >= fx:
-            lo, x, fx = x, m2, f2
-        else:
-            lo, hi = m1, m2
-    return x, fx
+    tail = np.cumsum(weights[order][::-1])[::-1] / total
+    j = int(np.argmax(v * tail))
+    return float(np.nextafter(v[j], 0.0)), float(tail[j])
 
 
 def optimize_scheme(
     params,
     K,
-    rin_grid=512,
     samples=10_000,
     seed=0,
     method="auto",
@@ -572,53 +548,46 @@ def optimize_scheme(
     """Search index and inner rates maximising the overall rate at block size K.
 
     Index-rate candidates are (1 - epsilon) times each capacity level up to
-    d_cap. For each candidate the inner rate sweeps a uniform grid on (0, 1)
-    followed by one 16-step bracket refinement around the best grid point.
+    d_cap. The outer rate R_out(r_in), the weight of blocks whose gated
+    capacity exceeds r_in, is a step function, so for each candidate the
+    supremum of r_in * R_out(r_in) is taken in closed form: at the largest
+    v * W(V >= v) over block values v, with r_in the float just below v.
     The outer rate is evaluated exactly over draw-count types when the
     enumeration stays small, otherwise by Monte-Carlo over sampled block
     histograms with the given budget and seed; all candidates reuse the same
-    draws, so the search is deterministic.
+    draws, so the search is deterministic and the reported outer rate is the
+    one the matching estimator returns for the chosen scheme.
     """
-    if rin_grid < 2:
-        raise ValueError(f"rin_grid must be >= 2, got {rin_grid!r}")
     _check_block_size(K)
     _check_threads(threads)
+    _check_tail_eps(tail_eps)
     use_exact = _use_exact(params, K, method, tail_eps)
     if use_exact:
         types, weights, truncation, d_max_tab = _exact_support(
             params, K, tail_eps, enum_cap
         )
+        total = 1.0
     else:
         counts = _sample_count_matrix(params, K, samples, seed, threads)
         d_max_tab = counts.shape[1] - 1
-
-    grid = np.linspace(0.0, 1.0, rin_grid + 2)[1:-1]
-    spacing = grid[1] - grid[0]
+        weights, total = np.ones(samples), samples
 
     best = None  # (overall, d0, r_ix, r_in, r_out)
     for d0 in range(1, d_cap + 1):
         r_ix = (1.0 - epsilon) * multi_draw_capacity(d0, params.p)
         if not params.beta < r_ix < 1.0:
             continue
-        factor = 1.0 - params.beta / r_ix
         gtab = gated_capacity_table(params.p, d_max_tab, r_ix)
         if use_exact:
-            rate_fn = _sorted_rate_fn(gtab[types].mean(axis=1), weights)
+            values = gtab[types].mean(axis=1)
         else:
-            rate_fn = _sorted_rate_fn(_hist_means(counts, gtab, K))
-
-        def objective(r):
-            return r * rate_fn(r) * factor
-
-        obj = np.array([objective(r) for r in grid])
-        i = int(np.argmax(obj))
-        lo = grid[i] - spacing if i == 0 else grid[i - 1]
-        hi = grid[i] + spacing if i == rin_grid - 1 else grid[i + 1]
-        r_in, val = _refine(objective, float(lo), float(grid[i]), float(hi))
+            values = _hist_means(counts, gtab, K)
+        r_in, r_out = _best_inner_rate(values, weights, total)
+        val = r_in * r_out * (1.0 - params.beta / r_ix)
         if best is None or val > best[0]:
-            best = (float(val), d0, r_ix, float(r_in), float(rate_fn(r_in)))
+            best = (val, d0, r_ix, r_in, r_out)
 
-    if best is None or best[0] <= 0.0 or best[4] <= 0.0:
+    if best is None or best[0] <= 0.0:
         raise ValueError("no scheme with positive rate exists for these parameters")
 
     overall, d0, r_ix, r_in, r_out = best

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import time
@@ -102,6 +103,28 @@ class TestChannelCapacity:
     def test_tail_eps_validated(self):
         with pytest.raises(ValueError):
             channel_capacity(params_for(1), tail_eps=0.0)
+
+    @pytest.mark.parametrize("c", [0.5, 1, 3, 10, 50])
+    def test_noiseless_closed_form(self, c):
+        # at p = 0 every drawn strand is read perfectly: (1 - e^-c)(1 - beta)
+        cap = channel_capacity(ChannelParams(c, 0.05, 0.0), tail_eps=1e-12)
+        assert abs(cap - (1 - math.exp(-c)) * (1 - 0.05)) <= 1e-12
+
+    @pytest.mark.parametrize("p, c", [(0.5, 2), (0.45, 2), (0.4, 1)])
+    def test_clamped_at_zero_when_indexing_costs_more(self, p, c):
+        assert channel_capacity(params_for(c, p=p)) == 0.0
+
+    @pytest.mark.parametrize(
+        "c, expected",
+        [
+            (1, 0.37076199137325977),
+            (2, 0.590899440455746),
+            (4, 0.8078476721280954),
+            (10, 0.9400395027862796),
+        ],
+    )
+    def test_positive_values_unchanged_by_the_clamp(self, c, expected):
+        assert channel_capacity(params_for(c)) == expected
 
 
 class TestBlockCapacity:
@@ -503,9 +526,55 @@ class TestOptimizeScheme:
         assert res.overall == pytest.approx(recomputed, abs=1e-12)
         assert res.scheme.r_out == res.rate.value
 
-    def test_grid_validation(self):
-        with pytest.raises(ValueError):
-            optimize_scheme(params_for(1), 1, rin_grid=1)
+    @pytest.mark.parametrize("c, K", [(1, 3), (2, 100)])
+    def test_reported_outer_rate_is_the_mc_estimate(self, c, K):
+        res = optimize_scheme(params_for(c), K, samples=5000, seed=4, method="mc")
+        est = achievable_outer_rate_mc(params_for(c), res.scheme, 5000, 4)
+        assert est.value == res.rate.value
+        assert est.stderr == res.rate.stderr
+
+    @pytest.mark.parametrize("c, K", [(1, 3), (2, 4)])
+    def test_reported_outer_rate_is_the_exact_value(self, c, K):
+        res = optimize_scheme(params_for(c), K, method="exact")
+        est = achievable_outer_rate_exact(params_for(c), res.scheme)
+        assert abs(est.value - res.rate.value) <= 1e-12
+        assert est.truncation_mass == res.rate.truncation_mass
+
+    @pytest.mark.parametrize("c", [1, 2])
+    @pytest.mark.parametrize("K", [1, 2, 3])
+    def test_brute_force_supremum(self, K, c):
+        # the objective only jumps at block values v, so its supremum is the
+        # best value just below some v; scan them all with the estimator
+        params = params_for(c)
+        types, _, _, d_max = rates._exact_support(params, K, 1e-12, rates.ENUM_CAP)
+        best = 0.0
+        for d0 in range(1, 9):
+            r_ix = 0.999 * multi_draw_capacity(d0, params.p)
+            if not params.beta < r_ix < 1.0:
+                continue
+            gtab = rates.gated_capacity_table(params.p, d_max, r_ix)
+            for v in np.unique(gtab[types].mean(axis=1)):
+                r_in = float(np.nextafter(v, 0.0))
+                if not 0.0 < r_in < 1.0:
+                    continue
+                scheme = SchemeParams(K, r_ix, r_in, 1.0)
+                r_out = achievable_outer_rate_exact(params, scheme).value
+                best = max(best, r_in * r_out * (1 - params.beta / r_ix))
+        res = optimize_scheme(params, K, method="exact")
+        assert abs(res.overall - best) <= 1e-12
+
+    def test_noiseless_inner_rate_below_one(self):
+        # at p = 0 a block's value can be exactly 1; r_in must stay below it
+        res = optimize_scheme(ChannelParams(3, 0.05, 0.0), 4)
+        assert 0.0 < res.scheme.r_in < 1.0
+        assert res.scheme.r_in == np.nextafter(1.0, 0.0)
+        assert SchemeParams(*dataclasses.astuple(res.scheme)) == res.scheme
+
+    @pytest.mark.parametrize("method", ["exact", "mc", "auto"])
+    @pytest.mark.parametrize("tail_eps", [0.0, -1.0, math.nan])
+    def test_tail_eps_checked(self, tail_eps, method):
+        with pytest.raises(ValueError, match="tail_eps out of range"):
+            optimize_scheme(params_for(2), 3, samples=1000, method=method, tail_eps=tail_eps)
 
     @pytest.mark.parametrize("K", [0, 2.5, 2.0, True])
     def test_block_size_checked_like_scheme_params(self, K):
