@@ -33,6 +33,12 @@ def check_crossover(p):
     return p
 
 
+def _check_reading_rate(c):
+    """Validate a reading rate (expected draws per strand); positive and finite."""
+    if not (c > 0 and math.isfinite(c)):
+        raise ValueError(f"c out of range: must be positive and finite, got {c!r}")
+
+
 def _check_index_rate(r_ix):
     """Validate an index code rate; must lie in (0, 1)."""
     r_ix = float(r_ix)
@@ -76,8 +82,7 @@ def poisson_pmf(c, d):
     """
     c = float(c)
     d = int(d)
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    _check_reading_rate(c)
     if d < 0:
         raise ValueError("d must be nonnegative")
     return math.exp(-c + d * math.log(c) - math.lgamma(d + 1))
@@ -90,8 +95,7 @@ def poisson_pmf_vec(c, d):
     commutes, so permutations of d give identical values.
     """
     c = float(c)
-    if not c > 0:
-        raise ValueError(f"c must be positive, got {c!r}")
+    _check_reading_rate(c)
     d = np.asarray(d, dtype=np.int64)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("d must be a nonempty vector of draw counts")
@@ -167,5 +171,9 @@ def capacity_table(p, d_max):
 def gated_capacity_table(p, d_max, r_ix):
     """Array of index-gated capacities for d = 0 .. d_max."""
     r_ix = _check_index_rate(r_ix)
-    tab = capacity_table(p, d_max)
+    return _gate(capacity_table(p, d_max), r_ix)
+
+
+def _gate(tab, r_ix):
+    """Capacity table with every entry at or below r_ix zeroed."""
     return np.where(tab > r_ix, tab, 0.0)

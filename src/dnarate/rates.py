@@ -8,7 +8,8 @@ position index behind an index code of rate r_ix. This module computes the
 channel capacity, the largest outer rate the scheme can support (exactly by
 enumeration or by Monte-Carlo), the large-K limit of the overall rate, its
 supremum over index rates, and an optimizer for scheme parameters that takes
-the supremum over inner rates in closed form.
+the supremum over inner rates in closed form. Both searches try an index
+rate just below every distinct capacity level of their table.
 """
 
 import math
@@ -19,8 +20,12 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import gammaln, pdtrc
 
-from .multidraw import (
+# multi_draw_capacity is not called here, but bench/tracer.py wraps this
+# module's binding of it along with the two table functions.
+from .multidraw import (  # noqa: F401
     _check_index_rate,
+    _check_reading_rate,
+    _gate,
     binary_entropy,
     capacity_table,
     check_crossover,
@@ -80,8 +85,7 @@ class ChannelParams:
     p: float
 
     def __post_init__(self):
-        if not (self.c > 0 and math.isfinite(self.c)):
-            raise ValueError(f"c out of range: must be positive and finite, got {self.c!r}")
+        _check_reading_rate(self.c)
         if not 0.0 < self.beta < 1.0:
             raise ValueError(f"beta out of range: must be in (0, 1), got {self.beta!r}")
         check_crossover(self.p)
@@ -188,8 +192,17 @@ def _tail_cut(cdf, tail_eps):
 
 
 def _check_tail_eps(tail_eps):
-    if not tail_eps > 0:
-        raise ValueError(f"tail_eps out of range: must be positive, got {tail_eps!r}")
+    if not 0.0 < tail_eps < 1.0:
+        raise ValueError(f"tail_eps out of range: must be in (0, 1), got {tail_eps!r}")
+
+
+def _capacity_terms(params, tail_eps):
+    """Poisson masses and capacities C_d of one strand's draw count, on
+    d = 0 .. d_max, d_max the smallest count whose tail mass is below tail_eps."""
+    _check_tail_eps(tail_eps)
+    pmf, cdf = _poisson_tables(params.c)
+    d_max = _tail_cut(cdf, tail_eps)
+    return pmf[: d_max + 1], capacity_table(params.p, d_max)
 
 
 # ---------------------------------------------------------------------------
@@ -204,11 +217,8 @@ def channel_capacity(params, tail_eps=1e-12):
     the indexing cost beta * (1 - e^-c) exceeds the mixture (noisy reads,
     e.g. p near 1/2), no positive rate is achievable and 0.0 is returned.
     """
-    _check_tail_eps(tail_eps)
-    pmf, cdf = _poisson_tables(params.c)
-    d_max = _tail_cut(cdf, tail_eps)
-    ctab = capacity_table(params.p, d_max)
-    mixture = float(np.dot(pmf[: d_max + 1], ctab))
+    pmf, ctab = _capacity_terms(params, tail_eps)
+    mixture = float(np.dot(pmf, ctab))
     return max(0.0, mixture - params.beta * (1.0 - math.exp(-params.c)))
 
 
@@ -229,11 +239,8 @@ def block_capacity(d, p, r_ix):
 
 def mean_gated_capacity(params, r_ix, tail_eps=1e-12):
     """Expected index-gated capacity of a single strand's draw count."""
-    _check_tail_eps(tail_eps)
-    pmf, cdf = _poisson_tables(params.c)
-    d_max = _tail_cut(cdf, tail_eps)
-    gtab = gated_capacity_table(params.p, d_max, r_ix)
-    return float(np.dot(pmf[: d_max + 1], gtab))
+    pmf, ctab = _capacity_terms(params, tail_eps)
+    return float(np.dot(pmf, _gate(ctab, _check_index_rate(r_ix))))
 
 
 # ---------------------------------------------------------------------------
@@ -425,40 +432,47 @@ def asymptotic_rate(params, r_ix, tail_eps=1e-12):
     return mean * (1.0 - params.beta / r_ix)
 
 
+def _index_levels(ctab, beta, epsilon):
+    """Index-rate candidates (d, r_ix) of a capacity table C_0 .. C_dmax.
+
+    Only index rates just below a capacity level matter, so the candidates
+    are r_ix = (1 - epsilon) * C_d for d >= 1, each run of equal values taken
+    at its first d, kept where beta < r_ix < 1.
+    """
+    d = np.arange(1, len(ctab))
+    r_ix = (1.0 - epsilon) * ctab[1:]
+    keep = np.r_[True, r_ix[1:] != r_ix[:-1]] & (beta < r_ix) & (r_ix < 1.0)
+    return d[keep], r_ix[keep]
+
+
 def r_max(params, epsilon=1e-3):
     """Maximise the large-K rate over index rates.
 
-    Only index rates just below one of the discrete capacity levels matter,
-    so candidates r_ix = (1 - epsilon) * C_d are scanned for d = 1, 2, ...
-    until the remaining Poisson tail cannot beat the best value found.
-    d_star is the smallest draw count whose capacity exceeds the chosen
-    r_ix, i.e. the gate's threshold, which may lie below the candidate's d.
+    Every capacity level of the Poisson support (tail mass 1e-12) is a
+    candidate r_ix = (1 - epsilon) * C_d. C_d never decreases in d, so the
+    gate C_d > r_ix keeps the draw counts d >= t, and the candidate's rate is
+    the suffix sum of pi_d * C_d from t, times 1 - beta / r_ix; the first
+    maximum wins. d_star is that t, which may lie below the candidate's d.
+    When no level in the support clears beta, the levels up to d = 1000 are
+    tried with zero mass beyond the support, which returns rate 0.0 at the
+    first one that does.
     """
     if not 0.0 < epsilon <= 0.1:
         raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon!r}")
-    _, cdf = _poisson_tables(params.c)
-    best_val = -math.inf
-    best_rix = 0.0
-    d = 0
-    while d < 1000:
-        d += 1
-        r_ix = (1.0 - epsilon) * multi_draw_capacity(d, params.p)
-        if params.beta < r_ix < 1.0:
-            val = asymptotic_rate(params, r_ix)
-            if val > best_val:
-                best_val, best_rix = val, r_ix
-        # Any later candidate is bounded by the tail mass of draws >= d-1.
-        if d >= 2 and best_val > 0:
-            bound = 1.0 - float(cdf[min(d - 2, len(cdf) - 1)])
-            if bound < best_val:
-                break
-    if best_rix == 0.0:
-        raise ValueError("no feasible index-rate candidate above beta")
-    # The threshold actually gated: the fewest draws whose capacity beats r_ix.
-    d_star = 1
-    while multi_draw_capacity(d_star, params.p) <= best_rix:
-        d_star += 1
-    return RMaxResult(best_val, d_star, best_rix)
+    pmf, ctab = _capacity_terms(params, 1e-12)
+    _, r_ix = _index_levels(ctab, params.beta, epsilon)
+    if r_ix.size == 0:
+        ctab = capacity_table(params.p, max(1000, len(ctab) - 1))
+        pmf = np.pad(pmf, (0, len(ctab) - len(pmf)))
+        _, r_ix = _index_levels(ctab, params.beta, epsilon)
+        if r_ix.size == 0:
+            raise ValueError("no feasible index-rate candidate above beta")
+    suffix = np.append(np.cumsum((pmf * ctab)[::-1])[::-1], 0.0)
+    # The running max keeps t the first d with C_d > r_ix through float noise.
+    t = np.searchsorted(np.maximum.accumulate(ctab), r_ix, side="right")
+    vals = suffix[t] * (1.0 - params.beta / r_ix)
+    j = int(np.argmax(vals))
+    return RMaxResult(float(vals[j]), int(t[j]), float(r_ix[j]))
 
 
 def gap_to_capacity(params, epsilon=1e-3, tail_eps=1e-12):
@@ -539,7 +553,6 @@ def optimize_scheme(
     samples=10_000,
     seed=0,
     method="auto",
-    d_cap=8,
     epsilon=1e-3,
     tail_eps=1e-12,
     threads=1,
@@ -547,16 +560,20 @@ def optimize_scheme(
 ):
     """Search index and inner rates maximising the overall rate at block size K.
 
-    Index-rate candidates are (1 - epsilon) times each capacity level up to
-    d_cap. The outer rate R_out(r_in), the weight of blocks whose gated
-    capacity exceeds r_in, is a step function, so for each candidate the
-    supremum of r_in * R_out(r_in) is taken in closed form: at the largest
-    v * W(V >= v) over block values v, with r_in the float just below v.
-    The outer rate is evaluated exactly over draw-count types when the
-    enumeration stays small, otherwise by Monte-Carlo over sampled block
-    histograms with the given budget and seed; all candidates reuse the same
-    draws, so the search is deterministic and the reported outer rate is the
-    one the matching estimator returns for the chosen scheme.
+    Index-rate candidates are (1 - epsilon) times every capacity level of the
+    draw-count table the outer rate is evaluated on. The outer rate
+    R_out(r_in), the weight of blocks whose gated capacity exceeds r_in, is
+    a step function, so for each candidate the supremum of r_in * R_out(r_in)
+    is taken in closed form: at the largest v * W(V >= v) over block values
+    v, with r_in the float just below v. That supremum is at most the mean
+    E_W[V] (Markov's inequality), so a candidate is skipped when its mean
+    bound cannot beat the best so far; the result is that of a full scan,
+    the first maximum in d order. The outer rate is evaluated exactly over
+    draw-count types when the enumeration stays small, otherwise by
+    Monte-Carlo over sampled block histograms with the given budget and
+    seed; all candidates reuse the same draws, so the search is
+    deterministic and the reported outer rate is the one the matching
+    estimator returns for the chosen scheme.
     """
     _check_block_size(K)
     _check_threads(threads)
@@ -567,25 +584,29 @@ def optimize_scheme(
             params, K, tail_eps, enum_cap
         )
         total = 1.0
+        # Weighted count of each draw value over the types, column by column.
+        mean_hist = sum(np.bincount(col, weights, d_max_tab + 1) for col in types.T)
     else:
         counts = _sample_count_matrix(params, K, samples, seed, threads)
         d_max_tab = counts.shape[1] - 1
         weights, total = np.ones(samples), samples
+        mean_hist = counts.sum(axis=0) / samples
 
+    ctab = capacity_table(params.p, d_max_tab)
     best = None  # (overall, d0, r_ix, r_in, r_out)
-    for d0 in range(1, d_cap + 1):
-        r_ix = (1.0 - epsilon) * multi_draw_capacity(d0, params.p)
-        if not params.beta < r_ix < 1.0:
+    for d0, r_ix in zip(*_index_levels(ctab, params.beta, epsilon)):
+        gtab = _gate(ctab, r_ix)
+        gain = 1.0 - params.beta / r_ix
+        if best is not None and mean_hist @ gtab / K * gain * (1.0 + 1e-12) < best[0]:
             continue
-        gtab = gated_capacity_table(params.p, d_max_tab, r_ix)
         if use_exact:
             values = gtab[types].mean(axis=1)
         else:
             values = _hist_means(counts, gtab, K)
         r_in, r_out = _best_inner_rate(values, weights, total)
-        val = r_in * r_out * (1.0 - params.beta / r_ix)
+        val = r_in * r_out * gain
         if best is None or val > best[0]:
-            best = (val, d0, r_ix, r_in, r_out)
+            best = (val, int(d0), float(r_ix), r_in, r_out)
 
     if best is None or best[0] <= 0.0:
         raise ValueError("no scheme with positive rate exists for these parameters")

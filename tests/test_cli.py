@@ -32,6 +32,8 @@ INVALID = {
     "p nan": (["capacity", "--c", "1", "--beta", "0.05", "--p", "nan"], 2),
     "tail-eps zero": (["capacity", *CH, "--tail-eps", "0"], 2),
     "tail-eps negative": (["rate", *CH, *SCHEME, "--tail-eps=-1e-12"], 2),
+    "tail-eps one": (["capacity", *CH, "--tail-eps", "1"], 2),
+    "tail-eps inf": (["rate", *CH, *SCHEME, "--tail-eps", "inf"], 2),
     "K zero": (["rate", *CH, "--K", "0", "--rix", "0.5304", "--rin", "0.4"], 2),
     "rix zero": (["rate", *CH, "--K", "2", "--rix", "0", "--rin", "0.4"], 2),
     "rix one": (["rate", *CH, "--K", "2", "--rix", "1", "--rin", "0.4"], 2),

@@ -89,6 +89,8 @@ class TestPoissonPmf:
     def test_rejects_bad_args(self):
         with pytest.raises(ValueError):
             poisson_pmf(0.0, 1)
+        with pytest.raises(ValueError, match="c out of range: must be positive and finite"):
+            poisson_pmf(math.inf, 3)
         with pytest.raises(ValueError):
             poisson_pmf(1.0, -1)
 
@@ -112,6 +114,8 @@ class TestPoissonPmfVec:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             poisson_pmf_vec(1, (1, -1))
+        with pytest.raises(ValueError, match="c out of range: must be positive and finite"):
+            poisson_pmf_vec(math.inf, (1, 3))
 
 
 class TestBinaryEntropy:

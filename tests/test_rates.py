@@ -35,6 +35,23 @@ def params_for(c, beta=0.05, p=0.1):
     return ChannelParams(c=c, beta=beta, p=p)
 
 
+def brute_force_r_max(params, epsilon=1e-3):
+    """(value, d_star, r_ix) of the best asymptotic_rate over r_ix = (1 - epsilon)
+    * C_d at every d of the 1e-12 Poisson support; the first maximum wins."""
+    _, cdf = rates._poisson_tables(params.c)
+    best = (-math.inf, 0, 0.0)
+    for d in range(1, rates._tail_cut(cdf, 1e-12) + 1):
+        r_ix = (1 - epsilon) * multi_draw_capacity(d, params.p)
+        if params.beta < r_ix < 1.0:
+            val = asymptotic_rate(params, r_ix)
+            if val > best[0]:
+                best = (val, d, r_ix)
+    d_star = 1
+    while multi_draw_capacity(d_star, params.p) <= best[2]:
+        d_star += 1
+    return best[0], d_star, best[2]
+
+
 class TestParamValidation:
     def test_channel_params(self):
         with pytest.raises(ValueError):
@@ -410,12 +427,29 @@ class TestRMax:
         assert r_max(params_for(10)).r_max == pytest.approx(0.9308, abs=5e-4)
 
     def test_threshold_is_the_gate_actually_applied(self):
-        # at c = 30 the best candidate is r_ix = 0.999 C_23, which every
-        # d >= 12 already passes
+        # at c = 30 the best candidate is r_ix = 0.999 C_66, a level just
+        # below saturation, which every d >= 12 already passes
         res = r_max(params_for(30))
         assert res.d_star == 12
-        assert res.r_ix_used == pytest.approx(0.999 * multi_draw_capacity(23, 0.1))
+        assert res.r_ix_used == brute_force_r_max(params_for(30))[2]
         assert multi_draw_capacity(11, 0.1) <= res.r_ix_used < multi_draw_capacity(12, 0.1)
+
+    @pytest.mark.parametrize("p", [0, 0.01, 0.1, 0.3])
+    @pytest.mark.parametrize("beta", [0.01, 0.05, 0.3])
+    @pytest.mark.parametrize("c", [0.5, 1, 2, 4, 10, 15, 30, 100])
+    def test_best_of_every_level_in_the_support(self, c, beta, p):
+        params = ChannelParams(c, beta, p)
+        val, d_star, r_ix = brute_force_r_max(params)
+        res = r_max(params)
+        assert abs(res.r_max - val) <= 1e-12
+        assert (res.d_star, res.r_ix_used) == (d_star, r_ix)
+
+    def test_no_level_in_the_support_clears_beta(self):
+        # the first level beyond the support that clears beta, at rate 0.0
+        assert dataclasses.astuple(r_max(ChannelParams(2, 0.3, 0.45))) == (
+            0.0, 52, 0.30091097209441975)
+        with pytest.raises(ValueError, match="no feasible"):
+            r_max(ChannelParams(2, 0.05, 0.5))
 
     def test_rix_used_sits_below_the_level(self):
         res = r_max(params_for(10))
@@ -563,6 +597,42 @@ class TestOptimizeScheme:
         res = optimize_scheme(params, K, method="exact")
         assert abs(res.overall - best) <= 1e-12
 
+    @staticmethod
+    def full_scan(params, K, exact, samples=None, seed=None):
+        """(overall, d, r_ix, r_in, r_out) of the first maximum over every
+        capacity level of the optimiser's table."""
+        if exact:
+            types, weights, _, d_max = rates._exact_support(params, K, 1e-12, rates.ENUM_CAP)
+            total = 1.0
+        else:
+            counts = rates._sample_count_matrix(params, K, samples, seed)
+            d_max, weights, total = counts.shape[1] - 1, np.ones(samples), samples
+        best = (-math.inf,)
+        for d in range(1, d_max + 1):
+            r_ix = 0.999 * multi_draw_capacity(d, params.p)
+            if not params.beta < r_ix < 1.0:
+                continue
+            gtab = rates.gated_capacity_table(params.p, d_max, r_ix)
+            values = gtab[types].mean(axis=1) if exact else counts @ gtab / K
+            r_in, r_out = rates._best_inner_rate(values, weights, total)
+            val = r_in * r_out * (1 - params.beta / r_ix)
+            if val > best[0]:
+                best = (val, d, r_ix, r_in, r_out)
+        return best
+
+    @pytest.mark.parametrize("c, K, method", [(30, 100, "mc"), (2, 3, "exact")])
+    def test_skipped_levels_never_win(self, c, K, method):
+        # the mean bound only skips levels a full scan would not pick
+        params = params_for(c)
+        res = optimize_scheme(params, K, samples=10_000, seed=0, method=method)
+        expected = self.full_scan(params, K, method == "exact", 10_000, 0)
+        s = res.scheme
+        assert (res.overall, res.d_candidate, s.r_ix, s.r_in, s.r_out) == expected
+
+    def test_levels_past_eight_are_tried(self):
+        res = optimize_scheme(params_for(30), 10_000, samples=2000)
+        assert res.d_candidate > 8
+
     def test_noiseless_inner_rate_below_one(self):
         # at p = 0 a block's value can be exactly 1; r_in must stay below it
         res = optimize_scheme(ChannelParams(3, 0.05, 0.0), 4)
@@ -571,7 +641,7 @@ class TestOptimizeScheme:
         assert SchemeParams(*dataclasses.astuple(res.scheme)) == res.scheme
 
     @pytest.mark.parametrize("method", ["exact", "mc", "auto"])
-    @pytest.mark.parametrize("tail_eps", [0.0, -1.0, math.nan])
+    @pytest.mark.parametrize("tail_eps", [0.0, -1.0, math.nan, 1.0, 5.0, math.inf])
     def test_tail_eps_checked(self, tail_eps, method):
         with pytest.raises(ValueError, match="tail_eps out of range"):
             optimize_scheme(params_for(2), 3, samples=1000, method=method, tail_eps=tail_eps)
