@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .multidraw import poisson_pmf
+from .multidraw import poisson_pmf_vec
 from .seeding import substream
 
 __all__ = [
@@ -186,68 +186,23 @@ def draw_histogram(output, K):
     return DrawHistogram(per_strand=per_strand, per_block=per_block, block_size=K)
 
 
-def _likely_vectors(c, K, threshold):
-    """All draw vectors whose joint Poisson mass exceeds threshold."""
-    top = poisson_pmf(c, math.floor(c))
-    if top ** K <= threshold:
-        return []
-    # A count value can only appear in a qualifying vector if its own mass,
-    # paired with the most likely value everywhere else, clears the threshold.
-    cutoff = threshold / top ** (K - 1)
-    pmf = []
-    d = 0
-    while d <= 10_000:
-        term = poisson_pmf(c, d)
-        if term <= cutoff and d > c:
-            break
-        pmf.append(term)
-        d += 1
-    out = []
-
-    def walk(prefix, prod, left):
-        if left == 0:
-            out.append(tuple(prefix))
-            return
-        for dv, pv in enumerate(pmf):
-            nxt = prod * pv
-            if nxt * top ** (left - 1) <= threshold:
-                if dv > c:
-                    break
-                continue
-            prefix.append(dv)
-            walk(prefix, nxt, left - 1)
-            prefix.pop()
-
-    walk([], 1.0, K)
-    return out
-
-
 def poisson_deviation(hist, params):
     """Total-variation style distance between observed block draw vectors and
     the product-Poisson prediction, scaled by 1/M.
 
-    The sum ranges over the union of observed vectors and every vector whose
-    predicted block count (M/K) * p_c(d) exceeds 1e-12 / M.
+    The sum sum_v |n_v - e_v| / M ranges over every draw vector v, where n_v
+    counts the blocks showing v and e_v = (M/K) * prod_i p_c(v_i) is its
+    predicted count. The unobserved vectors contribute their predicted counts,
+    which total M/K minus the observed vectors' e_v, so the sum is taken in
+    closed form over the observed vectors alone, whatever K is. The value is
+    (2/K) times the total-variation distance between the empirical law of a
+    block's draw vector and the product-Poisson law.
     """
-    K = hist.block_size
     M = int(hist.per_strand.size)
-    blocks = M // K
-    threshold = (1e-12 / M) / blocks
-    support = set(hist.per_block) | set(_likely_vectors(params.c, K, threshold))
-    log_pmf_cache = {}
-
-    def pmf1(d):
-        if d not in log_pmf_cache:
-            log_pmf_cache[d] = poisson_pmf(params.c, d)
-        return log_pmf_cache[d]
-
-    total = 0.0
-    for vec in support:
-        expected = blocks
-        for dv in vec:
-            expected *= pmf1(dv)
-        total += abs(hist.per_block.get(vec, 0) - expected)
-    return total / M
+    blocks = M // hist.block_size
+    pairs = [(n, blocks * poisson_pmf_vec(params.c, v)) for v, n in hist.per_block.items()]
+    unobserved = max(0.0, blocks - math.fsum(e for _, e in pairs))
+    return (math.fsum(abs(n - e) for n, e in pairs) + unobserved) / M
 
 
 def dump_channel(output, path):

@@ -7,6 +7,7 @@ pure function of its arguments.
 """
 
 import math
+import numbers
 from functools import lru_cache
 
 import numpy as np
@@ -39,6 +40,32 @@ def _check_reading_rate(c):
         raise ValueError(f"c out of range: must be positive and finite, got {c!r}")
 
 
+def _check_count(n, name, positive=False):
+    """Validate a count (draws, flips, a table bound or a block size): an
+    integer, never a float or a bool, that is nonnegative, or positive if
+    asked. Returns it as an int."""
+    low, kind = (1, "positive") if positive else (0, "nonnegative")
+    if not isinstance(n, numbers.Integral) or isinstance(n, bool) or n < low:
+        raise ValueError(f"{name} out of range: must be a {kind} integer, got {n!r}")
+    return int(n)
+
+
+def _check_draw_vector(d):
+    """Validate a nonempty vector of draw counts: an integer dtype and no
+    negative entry, the vector form of _check_count. Returns it as int64."""
+    arr = np.asarray(d)
+    if (
+        arr.ndim != 1
+        or arr.size == 0
+        or not np.issubdtype(arr.dtype, np.integer)
+        or (arr < 0).any()
+    ):
+        raise ValueError(
+            f"d out of range: must be a nonempty vector of nonnegative integers, got {d!r}"
+        )
+    return arr.astype(np.int64)
+
+
 def _check_index_rate(r_ix):
     """Validate an index code rate; must lie in (0, 1)."""
     r_ix = float(r_ix)
@@ -54,11 +81,9 @@ def binom_pmf(d, p, i):
     value stays finite for any draw count a Poisson tail can reach.
     """
     p = check_crossover(p)
-    d = int(d)
-    i = int(i)
-    if d < 0:
-        raise ValueError("d must be nonnegative")
-    if i < 0 or i > d:
+    d = _check_count(d, "d")
+    i = _check_count(i, "i")
+    if i > d:
         raise ValueError(f"i must lie in [0, {d}], got {i}")
     if p == 0.0:
         return 1.0 if i == 0 else 0.0
@@ -81,10 +106,8 @@ def poisson_pmf(c, d):
     below the float64 range underflow gracefully to 0.0 instead of NaN.
     """
     c = float(c)
-    d = int(d)
+    d = _check_count(d, "d")
     _check_reading_rate(c)
-    if d < 0:
-        raise ValueError("d must be nonnegative")
     return math.exp(-c + d * math.log(c) - math.lgamma(d + 1))
 
 
@@ -96,11 +119,7 @@ def poisson_pmf_vec(c, d):
     """
     c = float(c)
     _check_reading_rate(c)
-    d = np.asarray(d, dtype=np.int64)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("d must be a nonempty vector of draw counts")
-    if (d < 0).any():
-        raise ValueError("draw counts must be nonnegative")
+    d = _check_draw_vector(d)
     logs = -c + d * math.log(c) - gammaln(d + 1)
     return float(math.exp(logs.sum()))
 
@@ -146,9 +165,7 @@ def multi_draw_capacity(d, p):
     observation of the bit. d = 0 carries nothing; for p = 0 a single draw
     already suffices, so the capacity is 1 for every d >= 1.
     """
-    d = int(d)
-    if d < 0:
-        raise ValueError("d must be nonnegative")
+    d = _check_count(d, "d")
     return _capacity_cached(d, check_crossover(p))
 
 
@@ -163,9 +180,8 @@ def gated_capacity(d, p, r_ix):
 def capacity_table(p, d_max):
     """Array of multi-draw capacities for d = 0 .. d_max."""
     p = check_crossover(p)
-    if d_max < 0:
-        raise ValueError("d_max must be nonnegative")
-    return np.array([_capacity_cached(d, p) for d in range(int(d_max) + 1)])
+    d_max = _check_count(d_max, "d_max")
+    return np.array([_capacity_cached(d, p) for d in range(d_max + 1)])
 
 
 def gated_capacity_table(p, d_max, r_ix):

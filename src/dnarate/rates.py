@@ -13,7 +13,6 @@ rate just below every distinct capacity level of their table.
 """
 
 import math
-import numbers
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -23,6 +22,8 @@ from scipy.special import gammaln, pdtrc
 # multi_draw_capacity is not called here, but bench/tracer.py wraps this
 # module's binding of it along with the two table functions.
 from .multidraw import (  # noqa: F401
+    _check_count,
+    _check_draw_vector,
     _check_index_rate,
     _check_reading_rate,
     _gate,
@@ -72,7 +73,7 @@ AUTO_EXACT_VECTORS = 4_000_000
 
 
 class EnumerationCapError(RuntimeError):
-    """Exact enumeration would exceed the configured vector cap."""
+    """Exact enumeration would exceed the vector cap ENUM_CAP."""
 
 
 @dataclass(frozen=True)
@@ -91,11 +92,6 @@ class ChannelParams:
         check_crossover(self.p)
 
 
-def _check_block_size(K):
-    if not isinstance(K, numbers.Integral) or isinstance(K, bool) or K < 1:
-        raise ValueError(f"K out of range: must be a positive integer, got {K!r}")
-
-
 @dataclass(frozen=True)
 class SchemeParams:
     """Code quadruple: inner block size K plus index, inner and outer rates."""
@@ -106,7 +102,7 @@ class SchemeParams:
     r_out: float
 
     def __post_init__(self):
-        _check_block_size(self.K)
+        _check_count(self.K, "K", positive=True)
         _check_index_rate(self.r_ix)
         if not 0.0 < self.r_in < 1.0:
             raise ValueError(f"r_in out of range: must be in (0, 1), got {self.r_in!r}")
@@ -228,11 +224,7 @@ def block_capacity(d, p, r_ix):
     The block sees its K strands through independent observation channels
     with draw counts d; permuting d leaves the mean unchanged.
     """
-    d = np.asarray(d, dtype=np.int64)
-    if d.ndim != 1 or d.size == 0:
-        raise ValueError("d must be a nonempty draw vector")
-    if (d < 0).any():
-        raise ValueError("draw counts must be nonnegative")
+    d = _check_draw_vector(d)
     gtab = gated_capacity_table(p, int(d.max()), r_ix)
     return float(gtab[d].mean())
 
@@ -297,17 +289,17 @@ def _use_exact(params, K, method, tail_eps):
     )
 
 
-def _exact_support(params, K, tail_eps, enum_cap):
+def _exact_support(params, K, tail_eps):
     """Draw-count types below the tail cut, their probabilities and the tail mass.
 
     Types are the nondecreasing K-tuples with component sum <= d_max, one
     per histogram; each weighs K! / prod(m_i!) times the product of its
     Poisson masses, where m_i counts the repeats of each draw value.
-    The cap is counted in ordered vectors, C(d_max + K, K).
+    The cap, ENUM_CAP, is counted in ordered vectors, C(d_max + K, K).
     """
-    if not _exact_feasible(params, K, tail_eps, enum_cap):
+    if not _exact_feasible(params, K, tail_eps, ENUM_CAP):
         raise EnumerationCapError(
-            f"exact enumeration needs more than {enum_cap} draw vectors; "
+            f"exact enumeration needs more than {ENUM_CAP} draw vectors; "
             "use the Monte-Carlo estimator"
         )
     d_max, truncation = _enum_cut(params, K, tail_eps)
@@ -361,7 +353,7 @@ def _chunk_sizes(samples):
 # ---------------------------------------------------------------------------
 # Achievable outer rate
 
-def achievable_outer_rate_exact(params, scheme, tail_eps=1e-12, enum_cap=ENUM_CAP):
+def achievable_outer_rate_exact(params, scheme, tail_eps=1e-12):
     """Largest supportable outer rate, by exact enumeration of draw-count types.
 
     Sums the joint Poisson mass of every block type whose gated block
@@ -370,9 +362,7 @@ def achievable_outer_rate_exact(params, scheme, tail_eps=1e-12, enum_cap=ENUM_CA
     reported as truncation_mass, never silently dropped.
     """
     _check_tail_eps(tail_eps)
-    types, weights, truncation, d_max = _exact_support(
-        params, scheme.K, tail_eps, enum_cap
-    )
+    types, weights, truncation, d_max = _exact_support(params, scheme.K, tail_eps)
     gtab = gated_capacity_table(params.p, d_max, scheme.r_ix)
     v = gtab[types].mean(axis=1)
     value = float(weights[v > scheme.r_in].sum())
@@ -556,7 +546,6 @@ def optimize_scheme(
     epsilon=1e-3,
     tail_eps=1e-12,
     threads=1,
-    enum_cap=ENUM_CAP,
 ):
     """Search index and inner rates maximising the overall rate at block size K.
 
@@ -575,14 +564,12 @@ def optimize_scheme(
     deterministic and the reported outer rate is the one the matching
     estimator returns for the chosen scheme.
     """
-    _check_block_size(K)
+    _check_count(K, "K", positive=True)
     _check_threads(threads)
     _check_tail_eps(tail_eps)
     use_exact = _use_exact(params, K, method, tail_eps)
     if use_exact:
-        types, weights, truncation, d_max_tab = _exact_support(
-            params, K, tail_eps, enum_cap
-        )
+        types, weights, truncation, d_max_tab = _exact_support(params, K, tail_eps)
         total = 1.0
         # Weighted count of each draw value over the types, column by column.
         mean_hist = sum(np.bincount(col, weights, d_max_tab + 1) for col in types.T)

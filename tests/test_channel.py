@@ -1,7 +1,9 @@
 import math
+import time
 
 import numpy as np
 import pytest
+from scipy.stats import poisson
 
 from dnarate import (
     ChannelOutput,
@@ -178,6 +180,46 @@ class TestPoissonDeviation:
         halves = per_strand.reshape(-1, 2)
         corr = np.corrcoef(halves[:, 0], halves[:, 1])[0, 1]
         assert abs(corr) < 0.02
+
+
+def box_deviation(hist, c, D):
+    """poisson_deviation recomputed by brute force: every vector of the box
+    [0, D]^K, plus the observed vectors that fall outside it."""
+    K, M = hist.block_size, hist.per_strand.size
+    blocks = M // K
+    pmf = poisson.pmf(np.arange(D + 1), c)
+    grids = np.meshgrid(*[np.arange(D + 1)] * K, indexing="ij")
+    expected = blocks * np.prod([pmf[g] for g in grids], axis=0)
+    observed = np.zeros_like(expected)
+    outside = []
+    for vec, n in hist.per_block.items():
+        if max(vec) <= D:
+            observed[vec] = n
+        else:
+            outside.append(abs(n - blocks * np.prod(poisson.pmf(vec, c))))
+    return (math.fsum(np.abs(observed - expected).ravel()) + math.fsum(outside)) / M
+
+
+def histogram_at(M, K):
+    dims = InstanceDims.from_channel(PARAMS, M, K=K)
+    return draw_histogram(simulate_channel(random_pool(dims, 0), PARAMS, 1), K)
+
+
+class TestPoissonDeviationEveryVector:
+    @pytest.mark.parametrize("M, K, D", [(1000, 2, 30), (10**5, 2, 30), (4096, 4, 25)])
+    def test_matches_box_oracle(self, M, K, D):
+        hist = histogram_at(M, K)
+        assert poisson_deviation(hist, PARAMS) == pytest.approx(
+            box_deviation(hist, PARAMS.c, D), abs=1e-15
+        )
+
+    @pytest.mark.parametrize("M, K", [(3072, 6), (4096, 8)])
+    def test_bounded_time_at_large_block_size(self, M, K):
+        hist = histogram_at(M, K)
+        start = time.perf_counter()
+        dev = poisson_deviation(hist, PARAMS)
+        assert time.perf_counter() - start < 1.0
+        assert math.isfinite(dev) and 0.0 <= dev <= 2.0 / K
 
 
 class TestReplayDump:

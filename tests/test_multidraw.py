@@ -213,3 +213,48 @@ class TestGatedCapacity:
             gated_capacity(1, 0.1, r_ix)
         with pytest.raises(ValueError, match="r_ix out of range: must be in"):
             gated_capacity_table(0.1, 4, r_ix)
+
+
+class TestCountsMustBeIntegers:
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: poisson_pmf(2, 1.5),
+            lambda: multi_draw_capacity(2.7, 0.1),
+            lambda: multi_draw_capacity(True, 0.1),
+            lambda: gated_capacity(2.5, 0.1, 0.5),
+            lambda: binom_pmf(3.9, 0.1, 1),
+            lambda: binom_pmf(3, 0.1, 1.0),
+            lambda: capacity_table(0.1, 3.7),
+            lambda: capacity_table(0.1, math.inf),
+            lambda: gated_capacity_table(0.1, 4.0, 0.5),
+            lambda: poisson_pmf_vec(2, (1.5, 2)),
+            lambda: poisson_pmf_vec(2, (True, False)),
+            lambda: poisson_pmf_vec(2, ()),
+        ],
+        ids=[
+            "poisson_pmf-1.5",
+            "multi_draw_capacity-2.7",
+            "multi_draw_capacity-True",
+            "gated_capacity-2.5",
+            "binom_pmf-d-3.9",
+            "binom_pmf-i-1.0",
+            "capacity_table-3.7",
+            "capacity_table-inf",
+            "gated_capacity_table-4.0",
+            "poisson_pmf_vec-float",
+            "poisson_pmf_vec-bool",
+            "poisson_pmf_vec-empty",
+        ],
+    )
+    def test_non_integral_counts_rejected(self, call):
+        with pytest.raises(ValueError, match="out of range: must be a"):
+            call()
+
+    def test_numpy_integers_accepted(self):
+        assert multi_draw_capacity(np.int64(2), 0.1) == multi_draw_capacity(2, 0.1)
+        assert len(capacity_table(0.1, np.uint8(3))) == 4
+        assert poisson_pmf(2, np.int32(1)) == poisson_pmf(2, 1)
+        assert poisson_pmf_vec(2, np.array([1, 2], dtype=np.uint8)) == poisson_pmf_vec(
+            2, (1, 2)
+        )

@@ -156,6 +156,11 @@ class TestBlockCapacity:
         b = block_capacity((5, 2, 1, 0), 0.1, RIX1)
         assert a == b
 
+    @pytest.mark.parametrize("d", [(1.5, 2.2), (1.0, 2.0), (True, False), (), (1, -1)])
+    def test_draw_counts_must_be_nonnegative_integers(self, d):
+        with pytest.raises(ValueError, match="d out of range: must be a nonempty vector"):
+            block_capacity(d, 0.1, RIX1)
+
 
 class TestExactOuterRate:
     def test_single_strand_blocks_one_draw(self):
@@ -215,9 +220,7 @@ class TestExactOuterRate:
             assert abs(est.value - brute) <= 1e-13
 
     def test_type_count_and_mass(self):
-        types, weights, truncation, d_max = rates._exact_support(
-            params_for(2), 4, 1e-12, rates.ENUM_CAP
-        )
+        types, weights, truncation, d_max = rates._exact_support(params_for(2), 4, 1e-12)
         assert len(types) == 4626 and math.comb(d_max + 4, 4) == 82251
         assert np.all(np.diff(types, axis=1) >= 0) and np.all(types.sum(axis=1) <= d_max)
         assert len({tuple(t) for t in types}) == len(types)
@@ -281,7 +284,7 @@ class TestExactOuterRate:
     def test_cap_refused_loudly(self):
         scheme = SchemeParams(K=64, r_ix=RIX1, r_in=0.5, r_out=1.0)
         with pytest.raises(EnumerationCapError, match="Monte-Carlo"):
-            achievable_outer_rate_exact(params_for(4), scheme, enum_cap=10_000)
+            achievable_outer_rate_exact(params_for(4), scheme)
 
 
 class TestMonteCarloOuterRate:
@@ -580,7 +583,7 @@ class TestOptimizeScheme:
         # the objective only jumps at block values v, so its supremum is the
         # best value just below some v; scan them all with the estimator
         params = params_for(c)
-        types, _, _, d_max = rates._exact_support(params, K, 1e-12, rates.ENUM_CAP)
+        types, _, _, d_max = rates._exact_support(params, K, 1e-12)
         best = 0.0
         for d0 in range(1, 9):
             r_ix = 0.999 * multi_draw_capacity(d0, params.p)
@@ -602,7 +605,7 @@ class TestOptimizeScheme:
         """(overall, d, r_ix, r_in, r_out) of the first maximum over every
         capacity level of the optimiser's table."""
         if exact:
-            types, weights, _, d_max = rates._exact_support(params, K, 1e-12, rates.ENUM_CAP)
+            types, weights, _, d_max = rates._exact_support(params, K, 1e-12)
             total = 1.0
         else:
             counts = rates._sample_count_matrix(params, K, samples, seed)
