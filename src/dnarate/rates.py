@@ -62,18 +62,18 @@ __all__ = [
 MC_CHUNK = 65536
 # Upper-tail mass P(X > d) at which a Poisson table is cut.
 _TABLE_TAIL = 1e-16
-# Histogram cells drawn at once within a chunk; only tables wider than
-# 2^22 / MC_CHUNK = 64 entries (c above 18) split a chunk into batches.
+# Table cells handled at once: histogram cells drawn within an MC chunk (only
+# tables wider than 64 entries, c above 18, split a chunk) or types gathered.
 _HIST_CELLS = 1 << 22
-# Hard ceiling on exactly enumerated draws, counted as ordered draw vectors.
+# Hard ceiling on exact enumeration, in type-table cells (types x stored columns).
 ENUM_CAP = 10**8
-# "auto" method switches to Monte-Carlo above this many ordered draw vectors;
+# "auto" method switches to Monte-Carlo above this many type-table cells;
 # the full ENUM_CAP is only honoured when exact evaluation is requested.
-AUTO_EXACT_VECTORS = 4_000_000
+AUTO_EXACT_CELLS = 4_000_000
 
 
 class EnumerationCapError(RuntimeError):
-    """Exact enumeration would exceed the vector cap ENUM_CAP."""
+    """Exact enumeration would build more than ENUM_CAP type-table cells."""
 
 
 @dataclass(frozen=True)
@@ -163,22 +163,29 @@ class OptimizeResult:
 
 @lru_cache(maxsize=None)
 def _poisson_tables(c):
-    """(pmf, cdf) arrays of Poisson(c) on 0 .. d, d the first count whose
-    closed-form upper tail P(X > d) is below 1e-16.
+    """(pmf, cdf) arrays of Poisson(c) on 0 .. _poisson_cut(c, 1e-16).
 
     The last cdf entry is forced to 1.0 so that sampling always lands inside
     the table; the lumped residual is below float resolution.
     """
     c = float(c)
-    d_last = int(c)  # no count below the mean has a tail under 1e-16
-    while pdtrc(d_last, c) >= _TABLE_TAIL:
-        d_last += 1
-    pmf = np.array(
-        [math.exp(-c + d * math.log(c) - math.lgamma(d + 1)) for d in range(d_last + 1)]
-    )
+    pmf = np.array([math.exp(-c + d * math.log(c) - math.lgamma(d + 1))
+                    for d in range(_poisson_cut(c, _TABLE_TAIL) + 1)])
     cdf = np.minimum(np.cumsum(pmf), 1.0)
     cdf[-1] = 1.0
     return pmf, cdf
+
+
+def _poisson_cut(lam, tail):
+    """Smallest d whose closed-form Poisson(lam) tail P(X > d) is below tail,
+    by bisection, as the tail falls with d."""
+    lo, hi = -1, max(1, int(lam))  # P(X > lo) >= tail > P(X > hi)
+    while pdtrc(hi, lam) >= tail:
+        lo, hi = hi, 2 * hi
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        lo, hi = (mid, hi) if pdtrc(mid, lam) >= tail else (lo, mid)
+    return hi
 
 
 def _tail_cut(cdf, tail_eps):
@@ -243,84 +250,83 @@ def mean_gated_capacity(params, r_ix, tail_eps=1e-12):
 # not on their order. Exact evaluation enumerates types with their
 # multinomial weights; Monte-Carlo samples them as multinomial histograms.
 
-def _enum_cut(params, K, tail_eps):
-    """Tail cut d_max of a block's total draw count and the mass beyond it."""
-    _, cdf_k = _poisson_tables(K * params.c)
-    d_max = _tail_cut(cdf_k, tail_eps)
-    return d_max, max(0.0, 1.0 - float(cdf_k[d_max]))
+def _type_count(d_max, K, cap):
+    """Number of draw-count types with total at most d_max, or cap + 1 once
+    it passes cap: the partitions of n <= d_max into parts no larger than K,
+    with generating function 1 / ((1 - x) prod_{i <= K} (1 - x^i)). Each
+    factor 1 / (1 - x^i), a running sum along each residue class mod i, only
+    adds partitions, so the count stops as soon as it passes cap."""
+    if d_max + 1 > cap:  # every n <= d_max has a partition
+        return cap + 1
+    counts = np.ones(d_max + 1, dtype=np.int64)  # 1 / (1 - x)
+    for i in range(1, min(K, d_max) + 1):
+        padded = np.pad(counts, (0, -(d_max + 1) % i)).reshape(-1, i)
+        counts = np.minimum(padded.cumsum(axis=0), cap + 1).ravel()[: d_max + 1]
+        if counts[-1] > cap:  # the largest entry
+            return cap + 1
+    return int(counts[-1])
 
 
-def _vectors_within(d_max, K, cap):
-    """Whether the C(d_max + K, K) ordered draw vectors with component sum
-    <= d_max number at most cap.
-
-    With n = d_max + K and k = min(K, d_max), the coefficient is built as
-    C(n - k + i, i) for i = 1 .. k, exact integers that never decrease. The
-    loop stops once one passes the cap, and since n - k >= k each is at least
-    2^i, so it runs about log2(cap) steps however large K is.
-    """
-    K = int(K)  # a numpy integer would wrap in the products below
-    n, k = d_max + K, min(K, d_max)
-    count = 1
-    for i in range(1, k + 1):
-        if count > cap:
-            return False
-        count = count * (n - k + i) // i
-    return count <= cap
-
-
-def _exact_feasible(params, K, tail_eps, cap):
-    # For tail_eps <= 1/2 the cut is at least the Poisson(K*c) median, so at
-    # least ceil(K*c) - 1; a count past the cap below that is refused before
-    # the Poisson(K*c) table is built.
-    low_cut = max(0, math.ceil(K * params.c) - 2)
-    if tail_eps <= 0.5 and not _vectors_within(low_cut, K, cap):
-        return False
-    return _vectors_within(_enum_cut(params, K, tail_eps)[0], K, cap)
+def _fits(d_max, K, cap):
+    """Whether the type table below d_max holds at most cap cells."""
+    cols = min(K, d_max)
+    return cols == 0 or _type_count(d_max, K, cap // cols) <= cap // cols
 
 
 def _use_exact(params, K, method, tail_eps):
     """Whether `method` evaluates the outer rate exactly: always for "exact",
-    and for "auto" while enumeration stays within AUTO_EXACT_VECTORS."""
+    and for "auto" while the type table stays within AUTO_EXACT_CELLS."""
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"method must be auto, exact or mc, got {method!r}")
     return method == "exact" or (
-        method == "auto" and _exact_feasible(params, K, tail_eps, AUTO_EXACT_VECTORS)
+        method == "auto" and _fits(_poisson_cut(K * params.c, tail_eps), K, AUTO_EXACT_CELLS)
     )
 
 
 def _exact_support(params, K, tail_eps):
-    """Draw-count types below the tail cut, their probabilities and the tail mass.
+    """Draw-count types below the tail cut d_max of a block's Poisson(K * c)
+    total, their probabilities, the closed-form tail mass beyond d_max, d_max.
 
     Types are the nondecreasing K-tuples with component sum <= d_max, one
     per histogram; each weighs K! / prod(m_i!) times the product of its
-    Poisson masses, where m_i counts the repeats of each draw value.
-    The cap, ENUM_CAP, is counted in ordered vectors, C(d_max + K, K).
-    """
-    if not _exact_feasible(params, K, tail_eps, ENUM_CAP):
+    Poisson masses, m_i the repeats of each draw value. The table holds the
+    last min(K, d_max) columns in the smallest unsigned dtype for d_max; the
+    z leading zeros before them are implied."""
+    d_max = _poisson_cut(K * params.c, tail_eps)
+    if not _fits(d_max, K, ENUM_CAP):
         raise EnumerationCapError(
-            f"exact enumeration needs more than {ENUM_CAP} draw vectors; "
+            f"exact enumeration needs more than {ENUM_CAP} type-table cells; "
             "use the Monte-Carlo estimator"
         )
-    d_max, truncation = _enum_cut(params, K, tail_eps)
-    types = np.arange(d_max // K + 1)[:, None]
-    total = types[:, 0].copy()
-    run = np.ones(len(types))  # length of the run of equal values ending each row
-    log_repeats = np.zeros(len(types))  # log prod(m_i!), accumulated run by run
-    for j in range(1, K):
-        last = types[:, -1]
-        # the K - j components still to place are all >= the next value
-        n_next = (d_max - total) // (K - j) - last + 1
-        rows = np.repeat(np.arange(len(types)), n_next)
-        nxt = last[rows] + np.arange(rows.size) - np.repeat(np.cumsum(n_next) - n_next, n_next)
+    cols, z = min(K, d_max), max(0, K - d_max)
+    types = np.zeros((1, 0), dtype=np.min_scalar_type(d_max))
+    total = last = np.zeros(1, dtype=np.int32)  # ENUM_CAP bounds d_max and the rows
+    run = np.full(1, float(z))  # length of the run of equal values ending each row
+    log_repeats = np.zeros(1)  # log prod(m_i!) / z!, accumulated run by run
+    for j in range(cols):
+        # the cols - j components still to place are all >= the next value
+        n_next = (d_max - total) // (cols - j) - last + 1
+        rows = np.repeat(np.arange(len(types), dtype=np.int32), n_next)
+        start = np.repeat(np.cumsum(n_next, dtype=np.int32) - n_next, n_next)
+        nxt = last[rows] + np.arange(rows.size, dtype=np.int32) - start
         run = np.where(nxt == last[rows], run[rows] + 1.0, 1.0)
         log_repeats = log_repeats[rows] + np.log(run)
-        total = total[rows] + nxt
-        types = np.column_stack([types[rows], nxt])
+        total, last = total[rows] + nxt, nxt
+        types = np.column_stack([types[rows], nxt.astype(types.dtype)])
+    # log K!/z! as cols logs when z > 0: no lgamma(K+1) - lgamma(z+1) cancellation
+    log_coef = math.fsum(np.log(np.arange(z + 1.0, K + 1))) if z else math.lgamma(K + 1)
     d = np.arange(d_max + 1)
     log_pmf = -params.c + d * math.log(params.c) - gammaln(d + 1)
-    log_w = math.lgamma(K + 1) - log_repeats + log_pmf[types].sum(axis=1)
-    return types, np.exp(log_w), truncation, d_max
+    log_w = log_coef - log_repeats + (_type_means(log_pmf, types, 1) + z * log_pmf[0])
+    return types, np.exp(log_w), float(pdtrc(d_max, K * params.c)), d_max
+
+
+def _type_means(table, types, K):
+    """Row sums of table[types] / K, gathered _HIST_CELLS cells at a time. With
+    table = gtab these are the gated block capacities: implied zeros add gtab[0] = 0."""
+    step = max(1, _HIST_CELLS // max(1, types.shape[1]))
+    parts = np.split(types, range(step, len(types), step))
+    return np.concatenate([table[t].sum(axis=1) / K for t in parts])
 
 
 def _type_batches(seed, chunk_index, n, K, cdf):
@@ -364,8 +370,7 @@ def achievable_outer_rate_exact(params, scheme, tail_eps=1e-12):
     _check_tail_eps(tail_eps)
     types, weights, truncation, d_max = _exact_support(params, scheme.K, tail_eps)
     gtab = gated_capacity_table(params.p, d_max, scheme.r_ix)
-    v = gtab[types].mean(axis=1)
-    value = float(weights[v > scheme.r_in].sum())
+    value = float(weights[_type_means(gtab, types, scheme.K) > scheme.r_in].sum())
     return RateEstimate(value, 0.0, "exact", 0, truncation)
 
 
@@ -550,19 +555,15 @@ def optimize_scheme(
     """Search index and inner rates maximising the overall rate at block size K.
 
     Index-rate candidates are (1 - epsilon) times every capacity level of the
-    draw-count table the outer rate is evaluated on. The outer rate
-    R_out(r_in), the weight of blocks whose gated capacity exceeds r_in, is
-    a step function, so for each candidate the supremum of r_in * R_out(r_in)
-    is taken in closed form: at the largest v * W(V >= v) over block values
-    v, with r_in the float just below v. That supremum is at most the mean
-    E_W[V] (Markov's inequality), so a candidate is skipped when its mean
-    bound cannot beat the best so far; the result is that of a full scan,
-    the first maximum in d order. The outer rate is evaluated exactly over
-    draw-count types when the enumeration stays small, otherwise by
-    Monte-Carlo over sampled block histograms with the given budget and
-    seed; all candidates reuse the same draws, so the search is
-    deterministic and the reported outer rate is the one the matching
-    estimator returns for the chosen scheme.
+    draw-count table. The outer rate R_out(r_in), the weight of blocks whose
+    gated capacity exceeds r_in, is a step function, so for each candidate
+    the supremum of r_in * R_out(r_in) is the largest v * W(V >= v) over
+    block values v, with r_in the float just below v. It is at most the mean
+    E_W[V] (Markov), so a candidate whose mean cannot beat the best so far is
+    skipped; the result is the first maximum of a full scan. The table is
+    every draw-count type where _use_exact allows, else Monte-Carlo block
+    histograms with the given budget and seed, shared by all candidates; the
+    reported outer rate is what the matching estimator returns.
     """
     _check_count(K, "K", positive=True)
     _check_threads(threads)
@@ -571,7 +572,7 @@ def optimize_scheme(
     if use_exact:
         types, weights, truncation, d_max_tab = _exact_support(params, K, tail_eps)
         total = 1.0
-        # Weighted count of each draw value over the types, column by column.
+        # Weighted count of each stored draw value (implied zeros weigh gtab[0] = 0).
         mean_hist = sum(np.bincount(col, weights, d_max_tab + 1) for col in types.T)
     else:
         counts = _sample_count_matrix(params, K, samples, seed, threads)
@@ -586,10 +587,7 @@ def optimize_scheme(
         gain = 1.0 - params.beta / r_ix
         if best is not None and mean_hist @ gtab / K * gain * (1.0 + 1e-12) < best[0]:
             continue
-        if use_exact:
-            values = gtab[types].mean(axis=1)
-        else:
-            values = _hist_means(counts, gtab, K)
+        values = _type_means(gtab, types, K) if use_exact else _hist_means(counts, gtab, K)
         r_in, r_out = _best_inner_rate(values, weights, total)
         val = r_in * r_out * gain
         if best is None or val > best[0]:

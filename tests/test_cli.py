@@ -1,7 +1,9 @@
 import json
+import math
 import struct
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -136,6 +138,21 @@ class TestRate:
         assert code == 3
         assert out == ""
         assert "100000000" in err and "Monte-Carlo" in err
+
+    def test_tiny_reading_rate_large_block_is_exact_and_quick(self, capsys, tmp_path):
+        # d_max = 1 at K * c = 1e-8, so the type table has two one-column rows.
+        path = tmp_path / "rate.csv"
+        start = time.perf_counter()
+        code, out, _ = run(
+            capsys,
+            ["rate", "--c", "1e-13", "--beta", "0.05", "--p", "0.1", "--K", "100000",
+             "--rix", "0.5304", "--rin", "1e-9", "--out", str(path)],
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 0 and "method = exact" in out
+        row = dict(zip(*(line.split(",") for line in path.read_text().splitlines())))
+        r_out, truncation = float(row["R_out"]), float(row["truncation_mass"])
+        assert abs(r_out - -math.expm1(-100000 * 1e-13)) <= truncation + 1e-15
 
     def test_mc_at_reading_rate_8_finishes(self, capsys):
         code, out, _ = run(

@@ -222,34 +222,48 @@ class TestExactOuterRate:
     def test_type_count_and_mass(self):
         types, weights, truncation, d_max = rates._exact_support(params_for(2), 4, 1e-12)
         assert len(types) == 4626 and math.comb(d_max + 4, 4) == 82251
-        assert np.all(np.diff(types, axis=1) >= 0) and np.all(types.sum(axis=1) <= d_max)
+        assert np.all(np.diff(types.astype(int), axis=1) >= 0)
+        assert np.all(types.sum(axis=1) <= d_max)
         assert len({tuple(t) for t in types}) == len(types)
         assert math.fsum(weights) + truncation == pytest.approx(1.0, abs=1e-13)
 
-    def test_cap_compared_without_the_full_coefficient(self):
-        # The cap test must agree with math.comb on either side of the cap.
-        for d_max in range(0, 40):
-            for K in range(1, 40):
-                n = math.comb(d_max + K, K)
-                for cap in (n - 1, n, n + 1):
-                    assert rates._vectors_within(d_max, K, cap) == (n <= cap)
-        # A numpy block size (SchemeParams accepts one) must not overflow.
+    def test_type_count_matches_brute_force(self):
+        # Nondecreasing K-tuples with sum <= d_max, counted one by one.
+        for K in range(1, 8):
+            sums = np.bincount(
+                [sum(t) for t in itertools.combinations_with_replacement(range(26), K)
+                 if sum(t) <= 25],
+                minlength=26,
+            )
+            for d_max, n in enumerate(np.cumsum(sums)):
+                n = int(n)
+                assert rates._type_count(d_max, K, 10**12) == n
+                # saturation: past the cap the count is cap + 1, never more
+                assert rates._type_count(d_max, K, n - 1) == n
+                assert rates._type_count(d_max, K, n) == n
+                assert rates._type_count(d_max, K, n + 1) == n
+
+    @pytest.mark.parametrize("c, K", [(2, 4), (1, 3), (2, 8)])
+    def test_type_table_has_the_counted_rows(self, c, K):
+        types, _, _, d_max = rates._exact_support(params_for(c), K, 1e-12)
+        assert len(types) == rates._type_count(d_max, K, 10**12)
+        assert types.shape[1] == min(K, d_max) and types.dtype == np.uint8
+
+    def test_numpy_block_size_counts_without_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert not rates._vectors_within(40_000, np.int64(20_000), 10**18)
+            assert rates._type_count(40_000, np.int64(20_000), 10**8) == 10**8 + 1
 
     def test_auto_refuses_huge_block_quickly(self):
-        # C(d_max + K, K) has about 800,000 digits at K = 10^6.
+        # About 10^6 columns at d_max near 2 * 10^6: far past the cell cap.
         start = time.perf_counter()
-        feasible = rates._exact_feasible(
-            ChannelParams(2, 0.05, 0.1), 10**6, 1e-12, rates.AUTO_EXACT_VECTORS
-        )
+        feasible = rates._use_exact(ChannelParams(2, 0.05, 0.1), 10**6, "auto", 1e-12)
         assert feasible is False
         assert time.perf_counter() - start < 5.0
 
     def test_auto_refusal_builds_no_huge_table(self, monkeypatch):
-        # The cut's lower bound already passes the cap at K = 10^6, so the
-        # Poisson(2 * 10^6) table (about two million entries) is never built.
+        # The cut at K = 10^6 comes from the closed-form tail, so no
+        # Poisson(2 * 10^6) table (about two million entries) is built.
         tables = rates._poisson_tables
         built = []
 
@@ -260,16 +274,14 @@ class TestExactOuterRate:
 
         monkeypatch.setattr(rates, "_poisson_tables", recording_tables)
         start = time.perf_counter()
-        feasible = rates._exact_feasible(
-            ChannelParams(2, 0.05, 0.1), 10**6, 1e-12, rates.AUTO_EXACT_VECTORS
-        )
+        feasible = rates._use_exact(ChannelParams(2, 0.05, 0.1), 10**6, "auto", 1e-12)
         assert feasible is False
         assert time.perf_counter() - start < 0.5
         assert all(n <= 10**5 for n in built)
 
     @pytest.mark.parametrize("tail_eps", [0.5, 0.3, 0.1, 1e-3, 1e-6, 1e-12, 1e-15])
     def test_tail_cut_lower_bound(self, tail_eps):
-        # _exact_feasible refuses on this bound before building the table.
+        # A Poisson table's cut never lies more than 2 below the mean.
         for lam in [0.01, 0.3, 0.69, 0.7, 1, 1.3, 1.7, 2, 2.5, 3, 4.2, 7, 10.5,
                     33, 64.9, 100, 777.7, 1000, 4321]:
             _, cdf = rates._poisson_tables(lam)
@@ -280,6 +292,26 @@ class TestExactOuterRate:
             rates._use_exact(params_for(1), 1, "fast", 1e-12)
         with pytest.raises(ValueError, match="method must be auto, exact or mc"):
             optimize_scheme(params_for(1), 1, method="fast")
+
+    @pytest.mark.parametrize("c, K", [(20, 4), (30, 4), (5, 5)])
+    def test_truncation_mass_is_the_poisson_tail(self, c, K):
+        # Independent oracle: mpmath's regularized lower incomplete gamma,
+        # P(d + 1, lam) = P(X > d) for X ~ Poisson(lam).
+        mpmath = pytest.importorskip("mpmath")
+        scheme = SchemeParams(K=K, r_ix=RIX1, r_in=0.45, r_out=1.0)
+        est = achievable_outer_rate_exact(params_for(c), scheme)
+        d_max = rates._exact_support(params_for(c), K, 1e-12)[3]
+        with mpmath.workdps(40):
+            tail = mpmath.gammainc(d_max + 1, 0, K * c, regularized=True)
+        assert abs(est.truncation_mass - float(tail)) <= 1e-10 * float(tail)
+        assert 0.0 < est.truncation_mass <= 1e-12
+
+    def test_nothing_below_the_cut_at_tiny_reading_rate(self):
+        # At c = 1e-13 and K = 1 the cut is d_max = 0: only the empty block.
+        params = ChannelParams(1e-13, 0.05, 0.1)
+        assert rates._exact_support(params, 1, 1e-12)[3] == 0
+        est = achievable_outer_rate_exact(params, SchemeParams(1, 0.5304, 1e-9, 1.0))
+        assert est.value == 0.0 and 0.0 <= est.truncation_mass <= 1e-12
 
     def test_cap_refused_loudly(self):
         scheme = SchemeParams(K=64, r_ix=RIX1, r_in=0.5, r_out=1.0)
