@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .multidraw import poisson_pmf_vec
+from .multidraw import _check_count, poisson_pmf_vec
 from .seeding import substream
 
 __all__ = [
@@ -74,9 +74,7 @@ class InstanceDims:
     def from_channel(cls, params, M, K=1):
         """Derive L and N from channel parameters: L = ceil(log2(M)/beta),
         N = round(c*M). Blocks of K strands must tile the pool exactly."""
-        M = int(M)
-        if M < 1:
-            raise ValueError(f"M must be positive, got {M!r}")
+        M = _check_count(M, "M", positive=True)
         if K < 1 or M % K != 0:
             raise ValueError(f"K ({K!r}) must divide M ({M})")
         L = math.ceil(math.log2(M) / params.beta) if M > 1 else math.ceil(1 / params.beta)
@@ -177,8 +175,8 @@ def simulate_channel(pool, params, seed):
 def draw_histogram(output, K):
     """Count per-strand draws and group them into per-block draw vectors."""
     M = output.pool_size
-    K = int(K)
-    if K < 1 or M % K != 0:
+    K = _check_count(K, "K", positive=True)
+    if M % K != 0:
         raise ValueError(f"K ({K!r}) must divide the pool size ({M})")
     per_strand = np.bincount(output.origins, minlength=M).astype(np.int64)
     blocks = per_strand.reshape(M // K, K)

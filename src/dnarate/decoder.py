@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import InstanceDims, random_pool, simulate_channel
-from .multidraw import gated_capacity_table
+from .multidraw import _check_count, gated_capacity_table
 from .rates import validate_scheme
 from .seeding import _check_threads, _map_chunks, derive_seed
 
@@ -355,8 +355,7 @@ def run_pipeline(
     the master seed and the trial index) and runs decode on it. Schemes
     failing validate_scheme produce a warning but still run.
     """
-    if trials < 1:
-        raise ValueError(f"trials must be >= 1, got {trials!r}")
+    _check_count(trials, "trials", positive=True)
     _check_threads(threads)
     dims = InstanceDims.from_channel(params, M, scheme.K)
     work = dims.N**2 * dims.L

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import gammaln, pdtrc
+from scipy.special import pdtrc
 
 # multi_draw_capacity is not called here, but bench/tracer.py wraps this
 # module's binding of it along with the two table functions.
@@ -60,7 +60,7 @@ __all__ = [
 # Samples per RNG substream chunk; partial counts are combined in chunk order,
 # so estimates are identical for any worker count.
 MC_CHUNK = 65536
-# Upper-tail mass P(X > d) at which a Poisson table is cut.
+# Upper-tail mass P(X > d) at which the Monte-Carlo sampling table is cut.
 _TABLE_TAIL = 1e-16
 # Table cells handled at once: histogram cells drawn within an MC chunk (only
 # tables wider than 64 entries, c above 18, split a chunk) or types gathered.
@@ -159,21 +159,15 @@ class OptimizeResult:
 
 
 # ---------------------------------------------------------------------------
-# Poisson tables
+# The Poisson law of one strand's draw count
 
 @lru_cache(maxsize=None)
-def _poisson_tables(c):
-    """(pmf, cdf) arrays of Poisson(c) on 0 .. _poisson_cut(c, 1e-16).
-
-    The last cdf entry is forced to 1.0 so that sampling always lands inside
-    the table; the lumped residual is below float resolution.
-    """
-    c = float(c)
-    pmf = np.array([math.exp(-c + d * math.log(c) - math.lgamma(d + 1))
-                    for d in range(_poisson_cut(c, _TABLE_TAIL) + 1)])
-    cdf = np.minimum(np.cumsum(pmf), 1.0)
-    cdf[-1] = 1.0
-    return pmf, cdf
+def _poisson_table(c, d_max):
+    """(log_pmf, pmf) arrays of Poisson(c) on 0 .. d_max, the one table every
+    rate path reads; each mass is multidraw.poisson_pmf's expression."""
+    c, n = float(c), d_max + 1
+    log_pmf = np.fromiter((-c + d * math.log(c) - math.lgamma(d + 1) for d in range(n)), float, n)
+    return log_pmf, np.fromiter(map(math.exp, log_pmf), float, n)
 
 
 def _poisson_cut(lam, tail):
@@ -188,12 +182,6 @@ def _poisson_cut(lam, tail):
     return hi
 
 
-def _tail_cut(cdf, tail_eps):
-    """Smallest d whose upper-tail mass 1 - cdf[d] is below tail_eps."""
-    idx = int(np.searchsorted(cdf, 1.0 - tail_eps, side="right"))
-    return min(idx, len(cdf) - 1)
-
-
 def _check_tail_eps(tail_eps):
     if not 0.0 < tail_eps < 1.0:
         raise ValueError(f"tail_eps out of range: must be in (0, 1), got {tail_eps!r}")
@@ -203,9 +191,8 @@ def _capacity_terms(params, tail_eps):
     """Poisson masses and capacities C_d of one strand's draw count, on
     d = 0 .. d_max, d_max the smallest count whose tail mass is below tail_eps."""
     _check_tail_eps(tail_eps)
-    pmf, cdf = _poisson_tables(params.c)
-    d_max = _tail_cut(cdf, tail_eps)
-    return pmf[: d_max + 1], capacity_table(params.p, d_max)
+    d_max = _poisson_cut(params.c, tail_eps)
+    return _poisson_table(params.c, d_max)[1], capacity_table(params.p, d_max)
 
 
 # ---------------------------------------------------------------------------
@@ -315,8 +302,7 @@ def _exact_support(params, K, tail_eps):
         types = np.column_stack([types[rows], nxt.astype(types.dtype)])
     # log K!/z! as cols logs when z > 0: no lgamma(K+1) - lgamma(z+1) cancellation
     log_coef = math.fsum(np.log(np.arange(z + 1.0, K + 1))) if z else math.lgamma(K + 1)
-    d = np.arange(d_max + 1)
-    log_pmf = -params.c + d * math.log(params.c) - gammaln(d + 1)
+    log_pmf = _poisson_table(params.c, d_max)[0]
     log_w = log_coef - log_repeats + (_type_means(log_pmf, types, 1) + z * log_pmf[0])
     return types, np.exp(log_w), float(pdtrc(d_max, K * params.c)), d_max
 
@@ -329,7 +315,7 @@ def _type_means(table, types, K):
     return np.concatenate([table[t].sum(axis=1) / K for t in parts])
 
 
-def _type_batches(seed, chunk_index, n, K, cdf):
+def _type_batches(seed, chunk_index, n, K, pmf):
     """Draw-count histograms of one chunk's n sampled blocks, in row batches.
 
     Row j counts how many of block j's K i.i.d. draws take each value of the
@@ -338,7 +324,6 @@ def _type_batches(seed, chunk_index, n, K, cdf):
     leaves the chunk's variate stream unchanged.
     """
     rng = substream(seed, "outer-rate-mc", chunk_index)
-    pmf = np.diff(cdf, prepend=0.0)
     rows = max(1, _HIST_CELLS // pmf.size)
     for start in range(0, n, rows):
         yield rng.multinomial(K, pmf, size=min(rows, n - start))
@@ -351,8 +336,7 @@ def _hist_means(h, gtab, K):
 
 def _chunk_sizes(samples):
     """Sizes of the MC_CHUNK-sample chunks of a positive sample budget."""
-    if samples < 1:
-        raise ValueError(f"samples must be >= 1, got {samples!r}")
+    samples = _check_count(samples, "samples", positive=True)
     return [min(MC_CHUNK, samples - s) for s in range(0, samples, MC_CHUNK)]
 
 
@@ -385,13 +369,13 @@ def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
     """
     _check_threads(threads)
     sizes = _chunk_sizes(samples)
-    _, cdf = _poisson_tables(params.c)
-    gtab = gated_capacity_table(params.p, len(cdf) - 1, scheme.r_ix)
+    pmf = _poisson_table(params.c, _poisson_cut(params.c, _TABLE_TAIL))[1]
+    gtab = gated_capacity_table(params.p, len(pmf) - 1, scheme.r_ix)
 
     def count(ci):
         return sum(
             int((_hist_means(h, gtab, scheme.K) > scheme.r_in).sum())
-            for h in _type_batches(seed, ci, sizes[ci], scheme.K, cdf)
+            for h in _type_batches(seed, ci, sizes[ci], scheme.K, pmf)
         )
 
     v = sum(_map_chunks(count, len(sizes), threads)) / samples
@@ -432,8 +416,11 @@ def _index_levels(ctab, beta, epsilon):
 
     Only index rates just below a capacity level matter, so the candidates
     are r_ix = (1 - epsilon) * C_d for d >= 1, each run of equal values taken
-    at its first d, kept where beta < r_ix < 1.
+    at its first d, kept where beta < r_ix < 1. This is where r_max and
+    optimize_scheme both check that epsilon lies in (0, 0.1].
     """
+    if not 0.0 < epsilon <= 0.1:
+        raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon!r}")
     d = np.arange(1, len(ctab))
     r_ix = (1.0 - epsilon) * ctab[1:]
     keep = np.r_[True, r_ix[1:] != r_ix[:-1]] & (beta < r_ix) & (r_ix < 1.0)
@@ -452,8 +439,6 @@ def r_max(params, epsilon=1e-3):
     tried with zero mass beyond the support, which returns rate 0.0 at the
     first one that does.
     """
-    if not 0.0 < epsilon <= 0.1:
-        raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon!r}")
     pmf, ctab = _capacity_terms(params, 1e-12)
     _, r_ix = _index_levels(ctab, params.beta, epsilon)
     if r_ix.size == 0:
@@ -513,13 +498,13 @@ def _sample_count_matrix(params, K, samples, seed, threads=1):
     same seed.
     """
     sizes = _chunk_sizes(samples)
-    _, cdf = _poisson_tables(params.c)
+    pmf = _poisson_table(params.c, _poisson_cut(params.c, _TABLE_TAIL))[1]
     dtype = np.uint16 if K < 65536 else np.uint32
-    counts = np.empty((samples, len(cdf)), dtype=dtype)
+    counts = np.empty((samples, len(pmf)), dtype=dtype)
 
     def fill(ci):
         row = ci * MC_CHUNK
-        for h in _type_batches(seed, ci, sizes[ci], K, cdf):
+        for h in _type_batches(seed, ci, sizes[ci], K, pmf):
             counts[row : row + len(h)] = h
             row += len(h)
 

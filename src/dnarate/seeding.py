@@ -11,6 +11,8 @@ from concurrent import futures
 
 import numpy as np
 
+from .multidraw import _check_count
+
 _MASK64 = (1 << 64) - 1
 
 
@@ -35,8 +37,7 @@ def derive_seed(seed, tag, index=0):
 
 
 def _check_threads(threads):
-    if not threads >= 1:
-        raise ValueError(f"threads out of range: must be >= 1, got {threads!r}")
+    _check_count(threads, "threads", positive=True)
 
 
 def _map_chunks(fn, n_chunks, threads):

@@ -146,6 +146,13 @@ class TestDrawHistogram:
         with pytest.raises(ValueError):
             draw_histogram(out, 3)
 
+    @pytest.mark.parametrize("K", [4.7, 2.0, True, 0])
+    def test_block_size_must_be_a_positive_integer(self, K):
+        # K = 4.7 used to be floored to 4
+        out = make_output(np.zeros((1, 8)), [0], pool_size=4)
+        with pytest.raises(ValueError, match="K out of range: must be a positive integer"):
+            draw_histogram(out, K)
+
 
 class TestPoissonDeviation:
     def test_small_at_scale(self):

@@ -295,7 +295,7 @@ class TestOptimize:
                                       "--K", "100", f"--samples={samples}", "--method", "mc"])
         assert code == 2
         assert out == ""
-        assert "samples must be >= 1" in err
+        assert f"samples out of range: must be a positive integer, got {samples}" in err
 
     def test_never_beats_capacity(self, capsys):
         _, cap_out, _ = run(capsys, ["capacity", *CH])
@@ -491,7 +491,7 @@ class TestConfig:
                                       "--config", str(cfg)])
         assert code == 2
         assert out == ""
-        assert "threads out of range: must be >= 1, got -7" in err
+        assert "threads out of range: must be a positive integer, got -7" in err
 
     def test_threads_env_clamped(self, capsys, monkeypatch):
         monkeypatch.setenv("DNARATE_THREADS", "0")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -256,11 +257,24 @@ class TestRunPipeline:
         b = run_pipeline(PARAMS, scheme, 256, 3, seed=2, threads=3)
         assert a == b
 
-    @pytest.mark.parametrize("threads", [0, -2])
+    @pytest.mark.parametrize("threads", [0, -2, 1.5, True])
     def test_thread_count_checked(self, threads):
         scheme = SchemeParams(K=2, r_ix=0.5304, r_in=0.4, r_out=0.8)
-        with pytest.raises(ValueError, match="threads out of range: must be >= 1"):
+        msg = f"threads out of range: must be a positive integer, got {threads!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
             run_pipeline(PARAMS, scheme, 256, 1, seed=0, threads=threads)
+
+    @pytest.mark.parametrize("name, M, trials", [
+        ("M", 64.9, 1), ("M", True, 1), ("M", 64.0, 1), ("M", 0, 1),
+        ("trials", 64, 1.5), ("trials", 64, True), ("trials", 64, 0),
+    ])
+    def test_counts_must_be_integers(self, name, M, trials):
+        # M = 64.9 used to run at M = 64, and trials = 1.5 failed inside range()
+        scheme = SchemeParams(K=2, r_ix=0.5304, r_in=0.4, r_out=0.8)
+        bad = M if name == "M" else trials
+        msg = f"{name} out of range: must be a positive integer, got {bad!r}"
+        with pytest.raises(ValueError, match=re.escape(msg)):
+            run_pipeline(PARAMS, scheme, M, trials, seed=0)
 
     def test_block_tiling_enforced(self):
         scheme = SchemeParams(K=3, r_ix=0.5304, r_in=0.4, r_out=0.8)

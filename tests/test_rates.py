@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 import time
 import warnings
 
@@ -35,12 +36,21 @@ def params_for(c, beta=0.05, p=0.1):
     return ChannelParams(c=c, beta=beta, p=p)
 
 
+def count_error(name, value):
+    """The message multidraw._check_count gives for a bad positive count."""
+    return re.escape(f"{name} out of range: must be a positive integer, got {value!r}")
+
+
+def mc_pmf(c):
+    """The Poisson(c) masses Monte-Carlo sampling draws from."""
+    return rates._poisson_table(c, rates._poisson_cut(c, rates._TABLE_TAIL))[1]
+
+
 def brute_force_r_max(params, epsilon=1e-3):
     """(value, d_star, r_ix) of the best asymptotic_rate over r_ix = (1 - epsilon)
     * C_d at every d of the 1e-12 Poisson support; the first maximum wins."""
-    _, cdf = rates._poisson_tables(params.c)
     best = (-math.inf, 0, 0.0)
-    for d in range(1, rates._tail_cut(cdf, 1e-12) + 1):
+    for d in range(1, rates._poisson_cut(params.c, 1e-12) + 1):
         r_ix = (1 - epsilon) * multi_draw_capacity(d, params.p)
         if params.beta < r_ix < 1.0:
             val = asymptotic_rate(params, r_ix)
@@ -87,15 +97,17 @@ class TestParamValidation:
 class TestPoissonTables:
     @pytest.mark.parametrize("c", [*np.geomspace(0.5, 1000, 25), 8, 20, 25, 50, 64])
     def test_cut_at_closed_form_tail(self, c):
-        pmf, cdf = rates._poisson_tables(float(c))
-        assert len(pmf) == len(cdf) <= c + 12 * math.sqrt(c) + 60
-        assert np.all(np.diff(cdf) >= 0.0) and cdf[-1] == 1.0
-        assert np.all(pmf >= 0.0)
+        c = float(c)
+        log_pmf, pmf = rates._poisson_table(c, rates._poisson_cut(c, rates._TABLE_TAIL))
+        assert len(pmf) == len(log_pmf) <= c + 12 * math.sqrt(c) + 60
+        assert np.all(pmf >= 0.0) and pmf.sum() <= 1.0 + 1e-9
+        assert [math.exp(x) for x in log_pmf] == pmf.tolist()
 
     def test_formerly_overrunning_reading_rates(self):
         # these tables used to run to the 100,001-entry fallback
         for c in (8, 20, 25, 50, 64):
-            assert len(rates._poisson_tables(float(c))[0]) < 150
+            assert len(mc_pmf(float(c))) < 150
+            assert rates._sample_count_matrix(params_for(c), 3, 1, 0).shape[1] < 150
 
     def test_mc_paths_finish_at_c8(self):
         start = time.perf_counter()
@@ -203,8 +215,7 @@ class TestExactOuterRate:
     def test_types_match_ordered_enumeration(self, K, c):
         params = params_for(c)
         rng = np.random.default_rng(100 * K + c)
-        _, cdf_k = rates._poisson_tables(K * c)
-        d_max = rates._tail_cut(cdf_k, 1e-12)
+        d_max = rates._poisson_cut(K * c, 1e-12)
         log_pmf = [-c + d * math.log(c) - math.lgamma(d + 1) for d in range(d_max + 1)]
         for _ in range(3):
             r_ix, r_in = rng.uniform(0.06, 0.95), rng.uniform(0.02, 0.98)
@@ -264,15 +275,14 @@ class TestExactOuterRate:
     def test_auto_refusal_builds_no_huge_table(self, monkeypatch):
         # The cut at K = 10^6 comes from the closed-form tail, so no
         # Poisson(2 * 10^6) table (about two million entries) is built.
-        tables = rates._poisson_tables
+        table = rates._poisson_table
         built = []
 
-        def recording_tables(c):
-            pmf, cdf = tables(c)
-            built.append(len(pmf))
-            return pmf, cdf
+        def recording_table(c, d_max):
+            built.append(d_max + 1)
+            return table(c, d_max)
 
-        monkeypatch.setattr(rates, "_poisson_tables", recording_tables)
+        monkeypatch.setattr(rates, "_poisson_table", recording_table)
         start = time.perf_counter()
         feasible = rates._use_exact(ChannelParams(2, 0.05, 0.1), 10**6, "auto", 1e-12)
         assert feasible is False
@@ -284,8 +294,7 @@ class TestExactOuterRate:
         # A Poisson table's cut never lies more than 2 below the mean.
         for lam in [0.01, 0.3, 0.69, 0.7, 1, 1.3, 1.7, 2, 2.5, 3, 4.2, 7, 10.5,
                     33, 64.9, 100, 777.7, 1000, 4321]:
-            _, cdf = rates._poisson_tables(lam)
-            assert rates._tail_cut(cdf, tail_eps) >= max(0, math.ceil(lam) - 2)
+            assert rates._poisson_cut(lam, tail_eps) >= max(0, math.ceil(lam) - 2)
 
     def test_method_name_checked(self):
         with pytest.raises(ValueError, match="method must be auto, exact or mc"):
@@ -359,20 +368,25 @@ class TestMonteCarloOuterRate:
         assert runs[0] == runs[1] == runs[2]
 
 
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, 2.0, True])
     def test_thread_count_checked(self, threads):
         scheme = SchemeParams(K=2, r_ix=RIX1, r_in=0.4, r_out=1.0)
-        with pytest.raises(ValueError, match="threads out of range: must be >= 1"):
+        with pytest.raises(ValueError, match=count_error("threads", threads)):
             achievable_outer_rate_mc(params_for(1), scheme, 1000, threads=threads)
+
+    @pytest.mark.parametrize("samples", [0, -5, 1000.0, 1.5, True])
+    def test_sample_budget_checked(self, samples):
+        scheme = SchemeParams(K=2, r_ix=RIX1, r_in=0.4, r_out=1.0)
+        with pytest.raises(ValueError, match=count_error("samples", samples)):
+            achievable_outer_rate_mc(params_for(1), scheme, samples)
 
 
 class TestTypeSampler:
     def test_rows_are_multinomial(self):
         K, n = 7, 20_000
-        _, cdf = rates._poisson_tables(2.0)
-        pmf = np.diff(cdf, prepend=0.0)
-        (h,) = rates._type_batches(11, 0, n, K, cdf)
-        assert h.shape == (n, len(cdf))
+        pmf = mc_pmf(2.0)
+        (h,) = rates._type_batches(11, 0, n, K, pmf)
+        assert h.shape == (n, len(pmf))
         assert np.all(h.sum(axis=1) == K)
         se = np.sqrt(K * pmf * (1 - pmf) / n)
         assert np.all(np.abs(h.mean(axis=0) - K * pmf) <= 5 * se)
@@ -380,11 +394,11 @@ class TestTypeSampler:
     def test_batches_keep_the_chunk_stream(self):
         # c = 50 tables are wide enough that one chunk is drawn in batches
         K, n = 5, 65_536
-        _, cdf = rates._poisson_tables(50.0)
-        batches = list(rates._type_batches(4, 2, n, K, cdf))
+        pmf = mc_pmf(50.0)
+        batches = list(rates._type_batches(4, 2, n, K, pmf))
         assert len(batches) > 1
         rng = rates.substream(4, "outer-rate-mc", 2)
-        whole = rng.multinomial(K, np.diff(cdf, prepend=0.0), size=n)
+        whole = rng.multinomial(K, pmf, size=n)
         assert np.array_equal(np.vstack(batches), whole)
 
     def test_optimizer_and_estimator_share_histograms(self):
@@ -392,9 +406,9 @@ class TestTypeSampler:
         samples = rates.MC_CHUNK + 5_000
         counts = rates._sample_count_matrix(params, K, samples, seed, threads=2)
         assert np.array_equal(counts, rates._sample_count_matrix(params, K, samples, seed))
-        _, cdf = rates._poisson_tables(2.0)
+        pmf = mc_pmf(2.0)
         for ci, (lo, n) in enumerate([(0, rates.MC_CHUNK), (rates.MC_CHUNK, 5_000)]):
-            drawn = np.vstack(list(rates._type_batches(seed, ci, n, K, cdf)))
+            drawn = np.vstack(list(rates._type_batches(seed, ci, n, K, pmf)))
             assert np.array_equal(counts[lo : lo + n], drawn)
         scheme = SchemeParams(K=K, r_ix=RIX1, r_in=0.47, r_out=1.0)
         gtab = rates.gated_capacity_table(0.1, counts.shape[1] - 1, RIX1)
@@ -686,13 +700,22 @@ class TestOptimizeScheme:
         with pytest.raises(ValueError, match="K out of range"):
             optimize_scheme(params_for(1), K)
 
-    @pytest.mark.parametrize("samples", [0, -5])
+    @pytest.mark.parametrize("samples", [0, -5, 1000.0, True])
     def test_mc_sample_budget_checked(self, samples):
-        with pytest.raises(ValueError, match="samples must be >= 1"):
+        with pytest.raises(ValueError, match=count_error("samples", samples)):
             optimize_scheme(params_for(2), 100, samples=samples, method="mc")
 
     @pytest.mark.parametrize("method", ["mc", "exact", "auto"])
-    @pytest.mark.parametrize("threads", [0, -3])
+    @pytest.mark.parametrize("threads", [0, -3, 1.5, True])
     def test_thread_count_checked(self, method, threads):
-        with pytest.raises(ValueError, match="threads out of range: must be >= 1"):
+        with pytest.raises(ValueError, match=count_error("threads", threads)):
             optimize_scheme(params_for(2), 3, samples=1000, method=method, threads=threads)
+
+    @pytest.mark.parametrize("method", ["mc", "exact"])
+    @pytest.mark.parametrize("epsilon", [0.0, -0.2, 0.5, math.nan])
+    def test_epsilon_checked_like_r_max(self, method, epsilon):
+        # epsilon = 0 would set r_ix = C_d, which the strict gate drops
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 0.1\]"):
+            optimize_scheme(params_for(2), 3, samples=1000, method=method, epsilon=epsilon)
+        with pytest.raises(ValueError, match=r"epsilon must be in \(0, 0.1\]"):
+            r_max(params_for(2), epsilon=epsilon)
