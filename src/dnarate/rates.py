@@ -161,13 +161,16 @@ class OptimizeResult:
 # ---------------------------------------------------------------------------
 # The Poisson law of one strand's draw count
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=32)
 def _poisson_table(c, d_max):
     """(log_pmf, pmf) arrays of Poisson(c) on 0 .. d_max, the one table every
-    rate path reads; each mass is multidraw.poisson_pmf's expression."""
+    rate path reads: multidraw.poisson_pmf's float operations in its order,
+    so each mass matches it bit for bit. The cache is bounded, as sweeps over
+    c, K or tail_eps each ask for new tables."""
     c, n = float(c), d_max + 1
-    log_pmf = np.fromiter((-c + d * math.log(c) - math.lgamma(d + 1) for d in range(n)), float, n)
-    return log_pmf, np.fromiter(map(math.exp, log_pmf), float, n)
+    lgam = np.fromiter(map(math.lgamma, range(1, n + 1)), float, n)
+    log_pmf = -c + np.arange(n, dtype=float) * math.log(c) - lgam
+    return log_pmf, np.fromiter(map(math.exp, log_pmf.tolist()), float, n)
 
 
 def _poisson_cut(lam, tail):
@@ -180,6 +183,15 @@ def _poisson_cut(lam, tail):
         mid = (lo + hi) // 2
         lo, hi = (mid, hi) if pdtrc(mid, lam) >= tail else (lo, mid)
     return hi
+
+
+def _sampling_masses(c):
+    """Masses Monte-Carlo sampling draws from: Poisson(c) on 0 .. its cut at
+    tail _TABLE_TAIL, divided by their sum. Rounding in the masses, whose
+    relative error grows with c, lifts that sum past 1 + 1e-12 from about
+    c = 10^4, which multinomial refuses."""
+    pmf = _poisson_table(c, _poisson_cut(c, _TABLE_TAIL))[1]
+    return pmf / math.fsum(pmf)
 
 
 def _check_tail_eps(tail_eps):
@@ -369,7 +381,7 @@ def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
     """
     _check_threads(threads)
     sizes = _chunk_sizes(samples)
-    pmf = _poisson_table(params.c, _poisson_cut(params.c, _TABLE_TAIL))[1]
+    pmf = _sampling_masses(params.c)
     gtab = gated_capacity_table(params.p, len(pmf) - 1, scheme.r_ix)
 
     def count(ci):
@@ -411,16 +423,18 @@ def asymptotic_rate(params, r_ix, tail_eps=1e-12):
     return mean * (1.0 - params.beta / r_ix)
 
 
+def _check_epsilon(epsilon):
+    if not 0.0 < epsilon <= 0.1:
+        raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon!r}")
+
+
 def _index_levels(ctab, beta, epsilon):
     """Index-rate candidates (d, r_ix) of a capacity table C_0 .. C_dmax.
 
     Only index rates just below a capacity level matter, so the candidates
     are r_ix = (1 - epsilon) * C_d for d >= 1, each run of equal values taken
-    at its first d, kept where beta < r_ix < 1. This is where r_max and
-    optimize_scheme both check that epsilon lies in (0, 0.1].
+    at its first d, kept where beta < r_ix < 1.
     """
-    if not 0.0 < epsilon <= 0.1:
-        raise ValueError(f"epsilon must be in (0, 0.1], got {epsilon!r}")
     d = np.arange(1, len(ctab))
     r_ix = (1.0 - epsilon) * ctab[1:]
     keep = np.r_[True, r_ix[1:] != r_ix[:-1]] & (beta < r_ix) & (r_ix < 1.0)
@@ -439,6 +453,7 @@ def r_max(params, epsilon=1e-3):
     tried with zero mass beyond the support, which returns rate 0.0 at the
     first one that does.
     """
+    _check_epsilon(epsilon)
     pmf, ctab = _capacity_terms(params, 1e-12)
     _, r_ix = _index_levels(ctab, params.beta, epsilon)
     if r_ix.size == 0:
@@ -498,7 +513,7 @@ def _sample_count_matrix(params, K, samples, seed, threads=1):
     same seed.
     """
     sizes = _chunk_sizes(samples)
-    pmf = _poisson_table(params.c, _poisson_cut(params.c, _TABLE_TAIL))[1]
+    pmf = _sampling_masses(params.c)
     dtype = np.uint16 if K < 65536 else np.uint32
     counts = np.empty((samples, len(pmf)), dtype=dtype)
 
@@ -553,6 +568,7 @@ def optimize_scheme(
     _check_count(K, "K", positive=True)
     _check_threads(threads)
     _check_tail_eps(tail_eps)
+    _check_epsilon(epsilon)
     use_exact = _use_exact(params, K, method, tail_eps)
     if use_exact:
         types, weights, truncation, d_max_tab = _exact_support(params, K, tail_eps)

@@ -41,11 +41,6 @@ def count_error(name, value):
     return re.escape(f"{name} out of range: must be a positive integer, got {value!r}")
 
 
-def mc_pmf(c):
-    """The Poisson(c) masses Monte-Carlo sampling draws from."""
-    return rates._poisson_table(c, rates._poisson_cut(c, rates._TABLE_TAIL))[1]
-
-
 def brute_force_r_max(params, epsilon=1e-3):
     """(value, d_star, r_ix) of the best asymptotic_rate over r_ix = (1 - epsilon)
     * C_d at every d of the 1e-12 Poisson support; the first maximum wins."""
@@ -106,8 +101,21 @@ class TestPoissonTables:
     def test_formerly_overrunning_reading_rates(self):
         # these tables used to run to the 100,001-entry fallback
         for c in (8, 20, 25, 50, 64):
-            assert len(mc_pmf(float(c))) < 150
+            assert len(rates._sampling_masses(float(c))) < 150
             assert rates._sample_count_matrix(params_for(c), 3, 1, 0).shape[1] < 150
+
+    @pytest.mark.parametrize("c", [1e4, 1e5])
+    def test_mc_paths_at_large_reading_rates(self, c):
+        # rounding lifts the table's sum to 1 + 8.9e-12 at c = 1e4 and
+        # 1 + 1.9e-11 at 1e5, past what multinomial accepts; p = 0 keeps the
+        # capacity table cheap (each C_d costs O(d) for p > 0)
+        assert abs(math.fsum(rates._sampling_masses(c)) - 1.0) < 1e-15
+        params = ChannelParams(c, 0.05, 0.0)
+        scheme = SchemeParams(K=3, r_ix=0.999, r_in=0.5, r_out=1.0)
+        est = achievable_outer_rate_mc(params, scheme, 64)
+        assert 0.0 <= est.value <= 1.0
+        res = optimize_scheme(params, 3, samples=64, method="mc")
+        assert 0.0 <= res.rate.value <= 1.0
 
     def test_mc_paths_finish_at_c8(self):
         start = time.perf_counter()
@@ -384,7 +392,7 @@ class TestMonteCarloOuterRate:
 class TestTypeSampler:
     def test_rows_are_multinomial(self):
         K, n = 7, 20_000
-        pmf = mc_pmf(2.0)
+        pmf = rates._sampling_masses(2.0)
         (h,) = rates._type_batches(11, 0, n, K, pmf)
         assert h.shape == (n, len(pmf))
         assert np.all(h.sum(axis=1) == K)
@@ -394,7 +402,7 @@ class TestTypeSampler:
     def test_batches_keep_the_chunk_stream(self):
         # c = 50 tables are wide enough that one chunk is drawn in batches
         K, n = 5, 65_536
-        pmf = mc_pmf(50.0)
+        pmf = rates._sampling_masses(50.0)
         batches = list(rates._type_batches(4, 2, n, K, pmf))
         assert len(batches) > 1
         rng = rates.substream(4, "outer-rate-mc", 2)
@@ -406,7 +414,7 @@ class TestTypeSampler:
         samples = rates.MC_CHUNK + 5_000
         counts = rates._sample_count_matrix(params, K, samples, seed, threads=2)
         assert np.array_equal(counts, rates._sample_count_matrix(params, K, samples, seed))
-        pmf = mc_pmf(2.0)
+        pmf = rates._sampling_masses(2.0)
         for ci, (lo, n) in enumerate([(0, rates.MC_CHUNK), (rates.MC_CHUNK, 5_000)]):
             drawn = np.vstack(list(rates._type_batches(seed, ci, n, K, pmf)))
             assert np.array_equal(counts[lo : lo + n], drawn)
@@ -719,3 +727,13 @@ class TestOptimizeScheme:
             optimize_scheme(params_for(2), 3, samples=1000, method=method, epsilon=epsilon)
         with pytest.raises(ValueError, match=r"epsilon must be in \(0, 0.1\]"):
             r_max(params_for(2), epsilon=epsilon)
+
+    @pytest.mark.parametrize("method", ["mc", "exact"])
+    def test_epsilon_checked_before_any_table(self, method, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("table built before the epsilon check")
+
+        monkeypatch.setattr(rates, "_exact_support", refuse)
+        monkeypatch.setattr(rates, "_sample_count_matrix", refuse)
+        with pytest.raises(ValueError, match="epsilon must be in"):
+            optimize_scheme(params_for(2), 12, samples=1000, method=method, epsilon=0.5)
