@@ -39,8 +39,8 @@ MAGIC = b"DNAC"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHQQQ")
 
-# Rows of unpacked bits generated per batch when applying channel noise.
-_NOISE_BATCH_BITS = 1 << 24
+# Unpacked bits of channel noise drawn per batch (8 MB of float64 uniforms).
+_NOISE_BATCH_BITS = 1 << 20
 
 
 def pack_bits(bits):
@@ -149,7 +149,9 @@ def simulate_channel(pool, params, seed):
     """Draw N = round(c*M) reads uniformly with replacement and flip bits.
 
     Every read is its origin strand XOR an i.i.d. Ber(p) error pattern.
-    Deterministic per seed; noise is generated in batches to bound memory.
+    Deterministic per seed; noise is generated in batches to bound memory,
+    and the batch size does not change the output. At p = 0 no read can flip,
+    so no flip is drawn.
     """
     rng = substream(seed, "channel")
     M, L = pool.M, pool.length
@@ -158,11 +160,12 @@ def simulate_channel(pool, params, seed):
     reads = pool.bits[origins].copy()
     flip_counts = np.zeros(N, dtype=np.int64)
     batch = max(1, _NOISE_BATCH_BITS // L)
-    for start in range(0, N, batch):
-        stop = min(N, start + batch)
-        flips = (rng.random((stop - start, L)) < params.p).astype(np.uint8)
-        flip_counts[start:stop] = flips.sum(axis=1)
-        reads[start:stop] ^= pack_bits(flips)
+    if params.p > 0:
+        for start in range(0, N, batch):
+            stop = min(N, start + batch)
+            flips = (rng.random((stop - start, L)) < params.p).astype(np.uint8)
+            flip_counts[start:stop] = flips.sum(axis=1)
+            reads[start:stop] ^= pack_bits(flips)
     return ChannelOutput(
         reads=reads,
         origins=origins,

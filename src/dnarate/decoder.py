@@ -37,7 +37,10 @@ __all__ = [
     "DEFAULT_DISTANCE_BUDGET",
 ]
 
-# Pairwise-distance work cap for run_pipeline, in units of N^2 * L.
+# Pairwise-distance work cap for run_pipeline, in units of N^2 * L. Each read
+# is a seed of the blocked greedy pass at most once, compared with the pending
+# reads after its block's first seed: at most N^2/2 + 32N row distances of L
+# bits, so N^2 * L still bounds the work.
 DEFAULT_DISTANCE_BUDGET = 1e11
 
 
@@ -127,14 +130,30 @@ class PipelineResult:
     success_rate: float
 
 
+# Seeds per blocked distance pass, and pending reads per column chunk of it.
+_SEED_BLOCK = 64
+_COLUMN_CHUNK = 4096
+
+
 def greedy_cluster(output, config):
     """Group reads into maximal clusters of diameter at most rho*L.
 
-    Processing is in read-index order: the first unassigned read seeds a
-    cluster, and every later unassigned read joins iff its distance to every
-    current member is within the diameter. Because members only accumulate, a
-    read rejected once can never join later, so a single ordered pass per
-    cluster reaches the fixpoint. Every read ends up in exactly one cluster.
+    The rule: in read-index order, the first unassigned read seeds a cluster,
+    and every later unassigned read joins iff its distance to every current
+    member is within the diameter. Because members only accumulate, a read
+    rejected once can never join later, so a single ordered pass per cluster
+    reaches the fixpoint. Every read ends up in exactly one cluster.
+
+    The pass is blocked. The next B pending reads are taken as seeds, and
+    their distances to every later pending read are computed in one numpy
+    pass. The seeds are then walked in order in pure Python. A seed that an
+    earlier seed's cluster took is skipped. Otherwise every read below it is
+    assigned, so it is the rule's next seed: its candidates are its
+    still-pending near reads in ascending order, and each joins iff its
+    popcount distance to every member so far is within the diameter. The
+    pending set is compacted once per block. The next block holds twice as
+    many seeds as this one used (at most 64), so a wide diameter, whose
+    clusters take many block seeds, computes few rows it throws away.
     """
     if config.rho is None:
         raise ValueError(
@@ -143,50 +162,63 @@ def greedy_cluster(output, config):
     threshold = config.rho * output.length
     if threshold < 1.0:
         raise ValueError(f"clustering diameter rho*L = {threshold} is below one bit")
-    # Widen the packed rows to whole 64-bit words; popcounting words instead
-    # of bytes, and reusing scratch buffers across iterations, is what makes
-    # the O(N^2) distance pass affordable.
+    t = int(threshold)  # distances are whole bits
     n, width = output.reads.shape
+    # Word-major layout: row w holds the w-th 64-bit word of every pending
+    # read, so a block's distances are a few long broadcast passes.
     padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
     padded[:, :width] = output.reads
-    mat = padded.view(np.uint64)  # rows [0:size] aligned with pending
-    alt = np.empty_like(mat)
-    xbuf = np.empty_like(mat)
-    cbuf = np.empty(mat.shape, dtype=np.uint8)
+    mat = np.ascontiguousarray(padded.view(np.uint64).T)
+    raw = output.reads.tobytes()
+    ints = [int.from_bytes(raw[i * width : (i + 1) * width], "big") for i in range(n)]
+    # Holds any distance, padding bits included.
+    dist = np.empty(_SEED_BLOCK * n, dtype=np.min_scalar_type(8 * width))
+    near = np.empty(_SEED_BLOCK * n, dtype=bool)
+    xbuf = np.empty((_SEED_BLOCK, _COLUMN_CHUNK), dtype=np.uint64)
+    cbuf = np.empty((_SEED_BLOCK, _COLUMN_CHUNK), dtype=np.uint8)
+    assigned = bytearray(n)
+    taken = np.frombuffer(assigned, dtype=bool)
     clusters = []
     pending = np.arange(n)  # read indices still unassigned, ascending
-    size = n
-    while size:
-        seed = int(pending[0])
-        if size > 1:
-            x = np.bitwise_xor(mat[1:size], mat[0], out=xbuf[: size - 1])
-            dist = np.bitwise_count(x, out=cbuf[: size - 1]).sum(
-                axis=1, dtype=np.int64
-            )
-            cand_pos = np.flatnonzero(dist <= threshold) + 1  # pending positions
-        else:
-            cand_pos = np.empty(0, dtype=np.int64)
-        members = [seed]
-        ok = np.ones(cand_pos.size, dtype=bool)
-        for i in range(cand_pos.size):
-            if not ok[i]:
+    block = _SEED_BLOCK
+    while pending.size:
+        size = pending.size
+        b = min(block, size)
+        # d[j, k]: distance from seed pending[j] to read pending[k + 1].
+        d = dist[: b * (size - 1)].reshape(b, size - 1)
+        d.fill(0)
+        for lo in range(1, size, _COLUMN_CHUNK):
+            hi = min(size, lo + _COLUMN_CHUNK)
+            x, cnt = xbuf[:b, : hi - lo], cbuf[:b, : hi - lo]
+            part = d[:, lo - 1 : hi - 1]
+            for row in mat:
+                np.bitwise_xor(row[:b, None], row[None, lo:hi], out=x)
+                part += np.bitwise_count(x, out=cnt)
+        close = np.less_equal(d, t, out=near[: d.size].reshape(d.shape))
+        later = pending[1:]
+        used = 0
+        for j, seed in enumerate(pending[:b].tolist()):
+            if assigned[seed]:
                 continue
-            members.append(int(pending[cand_pos[i]]))
-            if i + 1 < cand_pos.size:
-                later = cand_pos[i + 1 :]
-                dd = np.bitwise_count(mat[later] ^ mat[cand_pos[i]]).sum(
-                    axis=1, dtype=np.int64
-                )
-                ok[i + 1 :] &= dd <= threshold
-        keep = np.ones(size, dtype=bool)
-        keep[0] = False
-        keep[cand_pos[ok]] = False
-        keep_idx = np.flatnonzero(keep)
-        np.take(mat[:size], keep_idx, axis=0, out=alt[: keep_idx.size])
-        mat, alt = alt, mat
-        pending = pending[keep_idx]
-        size = keep_idx.size
-        clusters.append(Cluster(members=tuple(members)))
+            used += 1
+            assigned[seed] = 1
+            members, joined = [seed], []
+            for r in later[close[j]].tolist():
+                if assigned[r]:
+                    continue
+                a = ints[r]
+                for other in joined:
+                    if (a ^ other).bit_count() > t:
+                        break
+                else:
+                    assigned[r] = 1
+                    members.append(r)
+                    joined.append(a)
+            clusters.append(Cluster(members=tuple(members)))
+        keep = ~taken[pending]
+        mat = np.compress(keep, mat, axis=1)
+        pending = pending[keep]
+        block = min(_SEED_BLOCK, 2 * used)
     return clusters
 
 

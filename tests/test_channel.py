@@ -1,3 +1,4 @@
+import hashlib
 import math
 import time
 
@@ -19,6 +20,7 @@ from dnarate import (
     simulate_channel,
     unpack_bits,
 )
+from dnarate import channel as channel_module
 
 PARAMS = ChannelParams(c=2, beta=0.05, p=0.1)
 
@@ -118,6 +120,33 @@ class TestSimulateChannel:
         assert np.array_equal(a.reads, b.reads)
         assert np.array_equal(a.origins, b.origins)
         assert np.array_equal(a.flip_counts, b.flip_counts)
+
+    # sha256 prefixes of reads + origins + flip_counts, pool seed 11, channel
+    # seed 12, M=512; recorded when noise came in 2^24-bit batches.
+    @pytest.mark.parametrize(
+        "c,p,digest",
+        [
+            (2, 0.1, "db55edfe4e1345d4"),
+            (3, 0.0, "ad484d15f53408a0"),
+            (1.5, 0.3, "2f191dac57f33672"),
+        ],
+    )
+    @pytest.mark.parametrize("batch_bits", [1 << 12, 1 << 20])
+    def test_output_pinned_across_noise_batch_sizes(self, monkeypatch, c, p, digest, batch_bits):
+        monkeypatch.setattr(channel_module, "_NOISE_BATCH_BITS", batch_bits)
+        params = ChannelParams(c, 0.05, p)
+        out = simulate_channel(random_pool(InstanceDims.from_channel(params, 512), 11), params, 12)
+        raw = out.reads.tobytes() + out.origins.tobytes() + out.flip_counts.tobytes()
+        assert hashlib.sha256(raw).hexdigest()[:16] == digest
+
+    def test_noiseless_draws_the_same_origins(self):
+        # p only drives the flips, which are drawn after the origins.
+        dims = InstanceDims.from_channel(PARAMS, 256)
+        pool = random_pool(dims, 13)
+        clean = simulate_channel(pool, ChannelParams(2, 0.05, 0.0), 14)
+        noisy = simulate_channel(pool, PARAMS, 14)
+        assert np.array_equal(clean.origins, noisy.origins)
+        assert np.array_equal(clean.reads, pool.bits[clean.origins])
 
 
 class TestDrawHistogram:
