@@ -39,8 +39,9 @@ __all__ = [
 
 # Pairwise-distance work cap for run_pipeline, in units of N^2 * L. Each read
 # is a seed of the blocked greedy pass at most once, compared with the pending
-# reads after its block's first seed: at most N^2/2 + 32N row distances of L
-# bits, so N^2 * L still bounds the work.
+# reads after its block's first seed: at most N^2/2 + 32N distances. Each
+# member is compared once with its seed's later candidates: at most N^2/2
+# more. So N^2 distances of L bits still bound the work.
 DEFAULT_DISTANCE_BUDGET = 1e11
 
 
@@ -130,9 +131,8 @@ class PipelineResult:
     success_rate: float
 
 
-# Seeds per blocked distance pass, and pending reads per column chunk of it.
+# Seeds per blocked distance pass.
 _SEED_BLOCK = 64
-_COLUMN_CHUNK = 4096
 
 
 def greedy_cluster(output, config):
@@ -146,13 +146,13 @@ def greedy_cluster(output, config):
 
     The pass is blocked. The next B pending reads are taken as seeds, and
     their distances to every later pending read are computed in one numpy
-    pass. The seeds are then walked in order in pure Python. A seed that an
-    earlier seed's cluster took is skipped. Otherwise every read below it is
-    assigned, so it is the rule's next seed: its candidates are its
-    still-pending near reads in ascending order, and each joins iff its
-    popcount distance to every member so far is within the diameter. The
-    pending set is compacted once per block. The next block holds twice as
-    many seeds as this one used (at most 64), so a wide diameter, whose
+    pass. The seeds are then walked in order. A seed that an earlier seed's
+    cluster took is skipped. Otherwise every read below it is assigned, so it
+    is the rule's next seed: its candidates are its still-pending near reads
+    in ascending order, and each candidate that survives joins and drops, in
+    one numpy pass, the later candidates farther than the diameter from it.
+    The pending set is compacted once per block. The next block holds twice
+    as many seeds as this one used (at most 64), so a wide diameter, whose
     clusters take many block seeds, computes few rows it throws away.
     """
     if config.rho is None:
@@ -164,37 +164,34 @@ def greedy_cluster(output, config):
         raise ValueError(f"clustering diameter rho*L = {threshold} is below one bit")
     t = int(threshold)  # distances are whole bits
     n, width = output.reads.shape
-    # Word-major layout: row w holds the w-th 64-bit word of every pending
-    # read, so a block's distances are a few long broadcast passes.
     padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
     padded[:, :width] = output.reads
-    mat = np.ascontiguousarray(padded.view(np.uint64).T)
-    raw = output.reads.tobytes()
-    ints = [int.from_bytes(raw[i * width : (i + 1) * width], "big") for i in range(n)]
-    # Holds any distance, padding bits included.
-    dist = np.empty(_SEED_BLOCK * n, dtype=np.min_scalar_type(8 * width))
+    rows = padded.view(np.uint64)  # read-major, for a seed's candidates
+    # Word-major layout: row w holds the w-th 64-bit word of every pending
+    # read, so a block's distances are one broadcast pass per word.
+    mat = np.ascontiguousarray(rows.T)
+    span = np.min_scalar_type(8 * width)  # holds any distance, padding included
+    dist = np.empty(_SEED_BLOCK * n, dtype=span)
     near = np.empty(_SEED_BLOCK * n, dtype=bool)
-    xbuf = np.empty((_SEED_BLOCK, _COLUMN_CHUNK), dtype=np.uint64)
-    cbuf = np.empty((_SEED_BLOCK, _COLUMN_CHUNK), dtype=np.uint8)
+    xbuf = np.empty(_SEED_BLOCK * n, dtype=np.uint64)
+    cbuf = np.empty(_SEED_BLOCK * n, dtype=np.uint8)
     assigned = bytearray(n)
     taken = np.frombuffer(assigned, dtype=bool)
     clusters = []
     pending = np.arange(n)  # read indices still unassigned, ascending
     block = _SEED_BLOCK
     while pending.size:
-        size = pending.size
-        b = min(block, size)
+        b = min(block, pending.size)
         # d[j, k]: distance from seed pending[j] to read pending[k + 1].
-        d = dist[: b * (size - 1)].reshape(b, size - 1)
+        shape = (b, pending.size - 1)
+        cells = shape[0] * shape[1]
+        d = dist[:cells].reshape(shape)
+        x, cnt = xbuf[:cells].reshape(shape), cbuf[:cells].reshape(shape)
         d.fill(0)
-        for lo in range(1, size, _COLUMN_CHUNK):
-            hi = min(size, lo + _COLUMN_CHUNK)
-            x, cnt = xbuf[:b, : hi - lo], cbuf[:b, : hi - lo]
-            part = d[:, lo - 1 : hi - 1]
-            for row in mat:
-                np.bitwise_xor(row[:b, None], row[None, lo:hi], out=x)
-                part += np.bitwise_count(x, out=cnt)
-        close = np.less_equal(d, t, out=near[: d.size].reshape(d.shape))
+        for word in mat:
+            np.bitwise_xor(word[:b, None], word[None, 1:], out=x)
+            d += np.bitwise_count(x, out=cnt)
+        close = np.less_equal(d, t, out=near[:cells].reshape(shape))
         later = pending[1:]
         used = 0
         for j, seed in enumerate(pending[:b].tolist()):
@@ -202,18 +199,23 @@ def greedy_cluster(output, config):
                 continue
             used += 1
             assigned[seed] = 1
-            members, joined = [seed], []
-            for r in later[close[j]].tolist():
-                if assigned[r]:
-                    continue
-                a = ints[r]
-                for other in joined:
-                    if (a ^ other).bit_count() > t:
-                        break
-                else:
-                    assigned[r] = 1
-                    members.append(r)
-                    joined.append(a)
+            members = [seed]
+            cand = later[close[j]]
+            cand = cand[~taken[cand]]  # still pending, ascending
+            sub = rows[cand]
+            # cand[0] is within the diameter of every member so far: it joins
+            # and drops the later candidates out of its reach. The rows are
+            # copied only when one is dropped.
+            while cand.size > 1:
+                far = np.bitwise_count(sub[1:] ^ sub[0]).sum(axis=1, dtype=span)
+                members.append(int(cand[0]))
+                cand, sub = cand[1:], sub[1:]
+                if far.max() > t:
+                    keep = far <= t
+                    cand, sub = cand[keep], sub[keep]
+            members += cand.tolist()
+            for r in members:
+                assigned[r] = 1
             clusters.append(Cluster(members=tuple(members)))
         keep = ~taken[pending]
         mat = np.compress(keep, mat, axis=1)

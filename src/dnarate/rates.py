@@ -65,10 +65,6 @@ _TABLE_TAIL = 1e-16
 # Table cells handled at once: histogram cells drawn within an MC chunk (only
 # tables wider than 64 entries, c above 18, split a chunk) or types gathered.
 _HIST_CELLS = 1 << 22
-# optimize_scheme keeps one float64 copy of its Monte-Carlo count matrix when
-# the copy fits in this many bytes; each level's product with the integer
-# matrix would otherwise cast all of it again.
-_COUNT_CAST_BYTES = 1 << 26
 # Hard ceiling on exact enumeration, in type-table cells (types x stored columns).
 ENUM_CAP = 10**8
 # "auto" method switches to Monte-Carlo above this many type-table cells;
@@ -580,9 +576,11 @@ def optimize_scheme(
         # Weighted count of each stored draw value (implied zeros weigh gtab[0] = 0).
         mean_hist = sum(np.bincount(col, weights, d_max_tab + 1) for col in types.T)
     else:
-        counts = _sample_count_matrix(params, K, samples, seed, threads)
-        if counts.size * 8 <= _COUNT_CAST_BYTES:
-            counts = counts.astype(np.float64)
+        # One float64 copy: each level's product with the integer matrix
+        # would otherwise cast all of it again.
+        counts = _sample_count_matrix(params, K, samples, seed, threads).astype(
+            np.float64
+        )
         d_max_tab = counts.shape[1] - 1
         weights, total = np.ones(samples), samples
         mean_hist = counts.sum(axis=0) / samples

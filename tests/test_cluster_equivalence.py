@@ -111,6 +111,19 @@ def test_matches_reference_at_bench_points(point):
     assert_same(out, point["rho"])
 
 
+@pytest.mark.parametrize(
+    "p, rho", [(0.3, None), (0.4, None), (0.1, 0.7)], ids=["p0.3", "p0.4", "rho0.7"]
+)
+def test_matches_reference_at_wide_diameters(p, rho):
+    # rho*L above the mean distance of unrelated reads (L/2): nearly every
+    # pair is within the diameter and a few clusters take almost every read.
+    params = ChannelParams(2, 0.05, p)
+    dims = InstanceDims.from_channel(params, 512)
+    out = simulate_channel(random_pool(dims, 9), params, 10)
+    clusters = assert_same(out, ClusteringConfig(rho=rho).resolve(p))
+    assert max(c.size for c in clusters) > out.N // 2
+
+
 class TestFixedCases:
     def test_no_reads(self):
         assert assert_same(bits_output(np.zeros((0, 10))), 0.3) == []
