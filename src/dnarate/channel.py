@@ -246,6 +246,10 @@ def load_channel(path):
     ).astype(np.int64)
     if N and origins.max(initial=0) >= M:
         raise ValueError(f"channel dump origin out of range: {path}")
+    # dump_channel pads each read with zero bits; clustering distances would
+    # count any that are set
+    if L % 8 and (reads[:, -1] & ((1 << (8 - L % 8)) - 1)).any():
+        raise ValueError(f"channel dump has nonzero padding bits past L={L}: {path}")
     return ChannelOutput(
         reads=reads.copy(),
         origins=origins,

@@ -27,6 +27,7 @@ from .multidraw import (  # noqa: F401
     _check_index_rate,
     _check_reading_rate,
     _gate,
+    _log_poisson_pmf,
     binary_entropy,
     capacity_table,
     check_crossover,
@@ -164,13 +165,11 @@ class OptimizeResult:
 @lru_cache(maxsize=32)
 def _poisson_table(c, d_max):
     """(log_pmf, pmf) arrays of Poisson(c) on 0 .. d_max, the one table every
-    rate path reads: multidraw.poisson_pmf's float operations in its order,
+    rate path reads: the saddle-point log masses multidraw.poisson_pmf uses,
     so each mass matches it bit for bit. The cache is bounded, as sweeps over
     c, K or tail_eps each ask for new tables."""
-    c, n = float(c), d_max + 1
-    lgam = np.fromiter(map(math.lgamma, range(1, n + 1)), float, n)
-    log_pmf = -c + np.arange(n, dtype=float) * math.log(c) - lgam
-    return log_pmf, np.fromiter(map(math.exp, log_pmf.tolist()), float, n)
+    log_pmf = _log_poisson_pmf(float(c), np.arange(d_max + 1))
+    return log_pmf, np.fromiter(map(math.exp, log_pmf.tolist()), float, d_max + 1)
 
 
 def _poisson_cut(lam, tail):
@@ -187,11 +186,10 @@ def _poisson_cut(lam, tail):
 
 def _sampling_masses(c):
     """Masses Monte-Carlo sampling draws from: Poisson(c) on 0 .. its cut at
-    tail _TABLE_TAIL, divided by their sum. Rounding in the masses, whose
-    relative error grows with c, lifts that sum past 1 + 1e-12 from about
-    c = 10^4, which multinomial refuses."""
-    pmf = _poisson_table(c, _poisson_cut(c, _TABLE_TAIL))[1]
-    return pmf / math.fsum(pmf)
+    tail _TABLE_TAIL. They sum to within a few 1e-16 of 1 - the tail, well
+    inside the 1 + 1e-12 that multinomial accepts; the tail's share falls to
+    the last cell."""
+    return _poisson_table(c, _poisson_cut(c, _TABLE_TAIL))[1]
 
 
 def _check_tail_eps(tail_eps):
@@ -228,11 +226,12 @@ def block_capacity(d, p, r_ix):
     """Mean index-gated capacity across the strands of one inner block.
 
     The block sees its K strands through independent observation channels
-    with draw counts d; permuting d leaves the mean unchanged.
+    with draw counts d; the sum is exactly rounded, so permuting d leaves
+    the mean unchanged.
     """
     d = _check_draw_vector(d)
     gtab = gated_capacity_table(p, int(d.max()), r_ix)
-    return float(gtab[d].mean())
+    return math.fsum(gtab[d]) / d.size
 
 
 def mean_gated_capacity(params, r_ix, tail_eps=1e-12):

@@ -283,6 +283,16 @@ class TestReplayDump:
         assert int.from_bytes(raw[22:30], "little") == 1  # N
         assert len(raw) == 30 + 1 * 1 + 8
 
+    def test_rejects_set_padding_bits(self, tmp_path):
+        # two reads with the same 100 data bits; read 1 also sets the 4
+        # padding bits of its last byte, which clustered them apart at rho = 0.03
+        out = make_output(np.zeros((2, 100), dtype=np.uint8), [0, 1], pool_size=2)
+        out.reads[1, -1] = 0x0F
+        path = tmp_path / "padded.bin"
+        dump_channel(out, path)
+        with pytest.raises(ValueError, match="padding bits"):
+            load_channel(path)
+
     def test_rejects_corruption(self, tmp_path):
         dims = InstanceDims.from_channel(PARAMS, 64)
         out = simulate_channel(random_pool(dims, 51), PARAMS, 52)

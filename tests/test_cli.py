@@ -434,6 +434,21 @@ class TestReplay:
         assert out == ""
         assert "M=" in err and "L=" in err
 
+    def test_set_padding_bits_exit_4(self, capsys, tmp_path):
+        # L = 100 leaves 4 padding bits in each read's last byte
+        dump = tmp_path / "padded.bin"
+        header = struct.pack("<4sHQQQ", b"DNAC", 1, 2, 100, 2)
+        reads = bytes(13) + bytes(12) + b"\x0f"
+        dump.write_bytes(header + reads + struct.pack("<2Q", 0, 1))
+        code, out, err = run(
+            capsys,
+            ["replay", "--in", str(dump), "--p", "0.1", "--K", "1",
+             "--rix", "0.5304", "--rin", "0.4", "--rout", "0.8"],
+        )
+        assert code == 4
+        assert out == ""
+        assert "padding bits" in err
+
     def test_corrupt_dump_exits_4(self, capsys, tmp_path):
         bad = tmp_path / "bad.bin"
         bad.write_bytes(b"XXXX" + b"\0" * 30)

@@ -106,7 +106,7 @@ class TestPoissonTables:
 
     @pytest.mark.parametrize("c", [1e4, 1e5])
     def test_mc_paths_at_large_reading_rates(self, c):
-        # rounding lifts the table's sum to 1 + 8.9e-12 at c = 1e4 and
+        # the log-space masses summed to 1 + 8.9e-12 at c = 1e4 and
         # 1 + 1.9e-11 at 1e5, past what multinomial accepts; p = 0 keeps the
         # capacity table cheap (each C_d costs O(d) for p > 0)
         assert abs(math.fsum(rates._sampling_masses(c)) - 1.0) < 1e-15
@@ -151,13 +151,15 @@ class TestChannelCapacity:
     def test_clamped_at_zero_when_indexing_costs_more(self, p, c):
         assert channel_capacity(params_for(c, p=p)) == 0.0
 
+    # Pinned from the saddle-point masses; each lies within 2.2e-16 of the
+    # 40-digit mpmath value of the same truncated sum.
     @pytest.mark.parametrize(
         "c, expected",
         [
             (1, 0.37076199137325977),
-            (2, 0.590899440455746),
-            (4, 0.8078476721280954),
-            (10, 0.9400395027862796),
+            (2, 0.5908994404557462),
+            (4, 0.8078476721280956),
+            (10, 0.9400395027862767),
         ],
     )
     def test_positive_values_unchanged_by_the_clamp(self, c, expected):
@@ -502,9 +504,10 @@ class TestRMax:
         assert (res.d_star, res.r_ix_used) == (d_star, r_ix)
 
     def test_no_level_in_the_support_clears_beta(self):
-        # the first level beyond the support that clears beta, at rate 0.0
+        # the first level beyond the support that clears beta, at rate 0.0;
+        # 0.999 C_52 at p = 0.45 is 0.3009109720944315368 to 19 digits
         assert dataclasses.astuple(r_max(ChannelParams(2, 0.3, 0.45))) == (
-            0.0, 52, 0.30091097209441975)
+            0.0, 52, 0.30091097209443163)
         with pytest.raises(ValueError, match="no feasible"):
             r_max(ChannelParams(2, 0.05, 0.5))
 
