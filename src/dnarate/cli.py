@@ -16,8 +16,16 @@ import math
 import os
 import sys
 
-from .channel import InstanceDims, dump_channel, load_channel
-from .decoder import BudgetError, ClusteringConfig, _trial_output, decode, run_pipeline
+from .channel import dump_channel, load_channel
+from .decoder import (
+    DEFAULT_DISTANCE_BUDGET,
+    BudgetError,
+    ClusteringConfig,
+    _pipeline_setup,
+    _trial_output,
+    decode,
+    run_pipeline,
+)
 from .rates import (
     ChannelParams,
     EnumerationCapError,
@@ -330,18 +338,24 @@ def cmd_simulate(args):
     _need(args, "M")
     if args.dump is not None and args.trials != 1:
         raise CliError(2, "--dump records a single channel use; requires --trials 1")
-    result = run_pipeline(
-        params,
-        scheme,
-        args.M,
-        args.trials,
-        seed=args.seed,
-        clustering=ClusteringConfig(rho=args.rho),
-        threads=args.threads,
-    )
-    if args.dump is not None:
-        dims = InstanceDims.from_channel(params, args.M, scheme.K)
+    clustering = ClusteringConfig(rho=args.rho)
+    if args.dump is None:
+        reports = run_pipeline(
+            params,
+            scheme,
+            args.M,
+            args.trials,
+            seed=args.seed,
+            clustering=clustering,
+            threads=args.threads,
+        ).reports
+    else:
+        # The one trial, drawn once: decoded as run_pipeline would, then dumped.
+        dims, config = _pipeline_setup(
+            params, scheme, args.M, 1, clustering, DEFAULT_DISTANCE_BUDGET, args.threads
+        )
         output = _trial_output(params, dims, args.seed, 0)
+        reports = (decode(output, params, scheme, config),)
         try:
             dump_channel(output, args.dump)
         except OSError as exc:
@@ -349,10 +363,10 @@ def cmd_simulate(args):
     rows = [
         (i, r.m_wrong_clusters, r.m_wrong_index, r.m_wrong_inner, r.erasures, r.errors,
          r.outer_success)
-        for i, r in enumerate(result.reports)
+        for i, r in enumerate(reports)
     ]
     _write(args.out, _table(SIM_HEADER, rows, args.format))
-    print(f"success_rate = {_fmt6(result.success_rate)}")
+    print(f"success_rate = {_fmt6(sum(r.outer_success for r in reports) / len(reports))}")
     return 0
 
 

@@ -9,6 +9,7 @@ decoders stand in for capacity-achieving codes: they isolate the behaviour of
 the channel and the scheme thresholds without constructing codebooks.
 """
 
+import itertools
 import warnings
 from dataclasses import dataclass
 
@@ -37,11 +38,12 @@ __all__ = [
     "DEFAULT_DISTANCE_BUDGET",
 ]
 
-# Pairwise-distance work cap for run_pipeline, in units of N^2 * L. Each read
-# is a seed of the blocked greedy pass at most once, compared with the pending
-# reads after its block's first seed: at most N^2/2 + 32N distances. Each
-# member is compared once with its seed's later candidates: at most N^2/2
-# more. So N^2 distances of L bits still bound the work.
+# Pairwise-distance work cap for run_pipeline, in units of N^2 * L. The
+# blocked greedy pass runs on the U <= N distinct reads. Each is a seed at most
+# once, compared with the pending reads after its block's first seed: at most
+# U^2/2 + 32U distances. Each member is compared once with its seed's later
+# candidates: at most U^2/2 more. So N^2 distances of L bits still bound the
+# work.
 DEFAULT_DISTANCE_BUDGET = 1e11
 
 
@@ -144,16 +146,15 @@ def greedy_cluster(output, config):
     rejected once can never join later, so a single ordered pass per cluster
     reaches the fixpoint. Every read ends up in exactly one cluster.
 
-    The pass is blocked. The next B pending reads are taken as seeds, and
-    their distances to every later pending read are computed in one numpy
-    pass. The seeds are then walked in order. A seed that an earlier seed's
-    cluster took is skipped. Otherwise every read below it is assigned, so it
-    is the rule's next seed: its candidates are its still-pending near reads
-    in ascending order, and each candidate that survives joins and drops, in
-    one numpy pass, the later candidates farther than the diameter from it.
-    The pending set is compacted once per block. The next block holds twice
-    as many seeds as this one used (at most 64), so a wide diameter, whose
-    clusters take many block seeds, computes few rows it throws away.
+    Identical reads always share a cluster, so the rule runs on the distinct
+    reads only, each standing at its first copy. Take reads r1 < r2 with the
+    same bits. A cluster that rejects r1 keeps the member that rejected it,
+    so it rejects r2 as well. Once r1 seeds or joins a cluster, every later
+    member is within the diameter of r1, hence of r2, and d(r1, r2) = 0; so
+    r2 joins r1's cluster. The first unassigned read is therefore always the
+    first copy of some distinct value, and the clusters of the distinct reads
+    in first-occurrence order, each read taking its first copy's cluster, are
+    the rule's clusters.
     """
     if config.rho is None:
         raise ValueError(
@@ -166,18 +167,53 @@ def greedy_cluster(output, config):
     n, width = output.reads.shape
     padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
     padded[:, :width] = output.reads
-    rows = padded.view(np.uint64)  # read-major, for a seed's candidates
+    keys = padded.view(np.dtype((np.void, padded.shape[1]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    order = np.argsort(first)  # distinct reads in first-occurrence order
+    span = np.min_scalar_type(8 * width)  # holds any distance, padding included
+    labels = np.empty(first.size, dtype=np.int64)  # per distinct read
+    labels[order] = _greedy_labels(padded.view(np.uint64)[first[order]], t, span)
+    labels = labels[inverse]  # per read
+    # Stable by label: members ascending, clusters in seed order.
+    members = np.argsort(labels, kind="stable").tolist()
+    ends = np.cumsum(np.bincount(labels)).tolist()
+    return [
+        Cluster(members=tuple(members[start:end]))
+        for start, end in zip([0, *ends], ends)
+    ]
+
+
+def _greedy_labels(rows, t, span):
+    """Cluster label of each read under the greedy rule with diameter t bits;
+    clusters are numbered in seed order. rows holds one read per row as
+    64-bit words; span is an unsigned dtype that holds any distance.
+
+    The pass is blocked. The next B pending reads are taken as seeds, and
+    their distances to every later pending read are computed in one numpy
+    pass. The seeds are then walked in order. A seed that an earlier seed's
+    cluster took is skipped. Otherwise every read below it is assigned, so it
+    is the rule's next seed; with no near read after it, it is a cluster of
+    its own. Else its candidates are its still-pending near reads in
+    ascending order, and each candidate that survives joins and drops, in one
+    numpy pass, the later candidates farther than the diameter from it. The
+    pending set is compacted once per block. The next block holds twice as
+    many seeds as this one used (at most 64), so a wide diameter, whose
+    clusters take many block seeds, computes few rows it throws away.
+    """
+    n = rows.shape[0]
     # Word-major layout: row w holds the w-th 64-bit word of every pending
     # read, so a block's distances are one broadcast pass per word.
     mat = np.ascontiguousarray(rows.T)
-    span = np.min_scalar_type(8 * width)  # holds any distance, padding included
     dist = np.empty(_SEED_BLOCK * n, dtype=span)
     near = np.empty(_SEED_BLOCK * n, dtype=bool)
     xbuf = np.empty(_SEED_BLOCK * n, dtype=np.uint64)
     cbuf = np.empty(_SEED_BLOCK * n, dtype=np.uint8)
+    # ahead[j, k]: read pending[k + 1] comes after seed pending[j].
+    ahead = ~np.tri(_SEED_BLOCK, _SEED_BLOCK - 1, -1, dtype=bool)
     assigned = bytearray(n)
     taken = np.frombuffer(assigned, dtype=bool)
-    clusters = []
+    labels = [0] * n
+    label = 0
     pending = np.arange(n)  # read indices still unassigned, ascending
     block = _SEED_BLOCK
     while pending.size:
@@ -192,6 +228,8 @@ def greedy_cluster(output, config):
             np.bitwise_xor(word[:b, None], word[None, 1:], out=x)
             d += np.bitwise_count(x, out=cnt)
         close = np.less_equal(d, t, out=near[:cells].reshape(shape))
+        close[:, : b - 1] &= ahead[:b, : b - 1]
+        lonely = (~close.any(axis=1)).tolist()
         later = pending[1:]
         used = 0
         for j, seed in enumerate(pending[:b].tolist()):
@@ -199,50 +237,63 @@ def greedy_cluster(output, config):
                 continue
             used += 1
             assigned[seed] = 1
-            members = [seed]
-            cand = later[close[j]]
-            cand = cand[~taken[cand]]  # still pending, ascending
-            sub = rows[cand]
-            # cand[0] is within the diameter of every member so far: it joins
-            # and drops the later candidates out of its reach. The rows are
-            # copied only when one is dropped.
-            while cand.size > 1:
-                far = np.bitwise_count(sub[1:] ^ sub[0]).sum(axis=1, dtype=span)
-                members.append(int(cand[0]))
-                cand, sub = cand[1:], sub[1:]
-                if far.max() > t:
-                    keep = far <= t
-                    cand, sub = cand[keep], sub[keep]
-            members += cand.tolist()
-            for r in members:
-                assigned[r] = 1
-            clusters.append(Cluster(members=tuple(members)))
+            labels[seed] = label
+            if not lonely[j]:
+                cand = later[close[j]]
+                cand = cand[~taken[cand]]  # still pending, ascending
+                sub = rows[cand]
+                members = []
+                # cand[0] is within the diameter of every member so far: it
+                # joins and drops the later candidates out of its reach. The
+                # rows are copied only when one is dropped.
+                while cand.size > 1:
+                    far = np.bitwise_count(sub[1:] ^ sub[0]).sum(axis=1, dtype=span)
+                    members.append(int(cand[0]))
+                    cand, sub = cand[1:], sub[1:]
+                    if far.max() > t:
+                        keep = far <= t
+                        cand, sub = cand[keep], sub[keep]
+                members += cand.tolist()
+                for r in members:
+                    assigned[r] = 1
+                    labels[r] = label
+            label += 1
         keep = ~taken[pending]
         mat = np.compress(keep, mat, axis=1)
         pending = pending[keep]
         block = min(_SEED_BLOCK, 2 * used)
-    return clusters
+    return labels
 
 
-def _clean_strand(cluster, output, fiber_size):
-    """The strand whose full read set the cluster is, or None if it is not
-    clean (mixed origins, or some of its strand's reads missing)."""
-    origins = output.origins[np.asarray(cluster.members)]
-    first = int(origins[0])
-    if (origins == first).all() and origins.size == fiber_size[first]:
-        return first
-    return None
+def _clean_strands(clusters, output):
+    """Per cluster, the strand whose full read set it is, or -1 if it is not
+    clean (mixed origins, some of its strand's reads missing, or empty)."""
+    sizes = np.fromiter((c.size for c in clusters), dtype=np.int64, count=len(clusters))
+    strands = np.full(sizes.size, -1, dtype=np.int64)
+    filled = np.flatnonzero(sizes)
+    if filled.size:
+        members = np.fromiter(
+            itertools.chain.from_iterable(c.members for c in clusters),
+            dtype=np.int64,
+            count=int(sizes.sum()),
+        )
+        origins = output.origins[members]
+        starts = (np.cumsum(sizes) - sizes)[filled]
+        lo = np.minimum.reduceat(origins, starts)
+        fiber_size = np.bincount(output.origins, minlength=output.pool_size)
+        clean = (lo == np.maximum.reduceat(origins, starts)) & (sizes[filled] == fiber_size[lo])
+        strands[filled[clean]] = lo[clean]
+    return strands
 
 
 def count_wrong_clusters(clusters, output):
     """Count clusters that are not exactly the full read set of one strand."""
-    fiber_size = np.bincount(output.origins, minlength=output.pool_size)
     covered = sum(c.size for c in clusters)
     if covered != output.N:
         raise ValueError(
             f"clustering covers {covered} reads, expected {output.N}"
         )
-    return sum(_clean_strand(c, output, fiber_size) is None for c in clusters)
+    return int((_clean_strands(clusters, output) < 0).sum())
 
 
 def oracle_index_decode(clusters, output, params, r_ix):
@@ -255,27 +306,18 @@ def oracle_index_decode(clusters, output, params, r_ix):
     clusters ever claim the same index, all its claimants are dropped.
     """
     m = output.pool_size
-    fiber_size = np.bincount(output.origins, minlength=m)
     sizes = [c.size for c in clusters]
     gtab = gated_capacity_table(params.p, max(sizes, default=1), r_ix)
+    sizes = np.array(sizes, dtype=np.int64)
+    strands = _clean_strands(clusters, output)
+    kept = gtab[sizes] > 0.0
+    m_wrong = int((kept & (strands < 0)).sum())
+    claims = np.flatnonzero(kept & (strands >= 0))  # positions, ascending
+    claimed = strands[claims]
+    sole = claims[np.bincount(claimed, minlength=m)[claimed] == 1]
     draws = np.zeros(m, dtype=np.int64)
-    claims = {}
-    m_wrong = 0
-    for pos, cluster in enumerate(clusters):
-        if gtab[cluster.size] <= 0.0:
-            continue
-        strand = _clean_strand(cluster, output, fiber_size)
-        if strand is None:
-            m_wrong += 1
-            continue
-        claims.setdefault(strand, []).append(pos)
-    assignments = {}
-    for strand, holders in claims.items():
-        if len(holders) != 1:
-            continue  # duplicate index: drop every claimant
-        pos = holders[0]
-        assignments[pos] = strand
-        draws[strand] = clusters[pos].size
+    draws[strands[sole]] = sizes[sole]
+    assignments = dict(zip(sole.tolist(), strands[sole].tolist()))
     return IndexDecodeResult(draws=draws, assignments=assignments, m_wrong_index=m_wrong)
 
 
@@ -373,6 +415,29 @@ def _suggest_m(params, budget, K):
     return best
 
 
+def _pipeline_setup(params, scheme, M, trials, clustering, budget, threads):
+    """run_pipeline's checks, before any draw: the instance dimensions and
+    the clustering config resolved for params.p."""
+    _check_count(trials, "trials", positive=True)
+    _check_threads(threads)
+    dims = InstanceDims.from_channel(params, M, scheme.K)
+    work = dims.N**2 * dims.L
+    if work > budget:
+        hint = _suggest_m(params, budget, scheme.K)
+        hint_msg = f"; try M <= {hint}" if hint else ""
+        raise BudgetError(
+            f"N^2*L = {work:.3g} exceeds the distance budget {budget:.3g}{hint_msg}"
+        )
+    verdict = validate_scheme(params, scheme)
+    if not verdict.ok:
+        warnings.warn(
+            "scheme violates decoding-analysis conditions: "
+            + "; ".join(verdict.violations),
+            stacklevel=3,
+        )
+    return dims, (clustering or ClusteringConfig()).resolved(params.p)
+
+
 def run_pipeline(
     params,
     scheme,
@@ -389,24 +454,7 @@ def run_pipeline(
     the master seed and the trial index) and runs decode on it. Schemes
     failing validate_scheme produce a warning but still run.
     """
-    _check_count(trials, "trials", positive=True)
-    _check_threads(threads)
-    dims = InstanceDims.from_channel(params, M, scheme.K)
-    work = dims.N**2 * dims.L
-    if work > budget:
-        hint = _suggest_m(params, budget, scheme.K)
-        hint_msg = f"; try M <= {hint}" if hint else ""
-        raise BudgetError(
-            f"N^2*L = {work:.3g} exceeds the distance budget {budget:.3g}{hint_msg}"
-        )
-    verdict = validate_scheme(params, scheme)
-    if not verdict.ok:
-        warnings.warn(
-            "scheme violates decoding-analysis conditions: "
-            + "; ".join(verdict.violations),
-            stacklevel=2,
-        )
-    config = (clustering or ClusteringConfig()).resolved(params.p)
+    dims, config = _pipeline_setup(params, scheme, M, trials, clustering, budget, threads)
 
     def one_trial(t):
         return decode(_trial_output(params, dims, seed, t), params, scheme, config)

@@ -7,7 +7,7 @@ import time
 
 import pytest
 
-from dnarate import decoder, overall_rate
+from dnarate import cli, decoder, overall_rate
 from dnarate.cli import CURVE_HEADER, SIM_HEADER, main
 
 CH = ["--c", "1", "--beta", "0.05", "--p", "0.1"]
@@ -389,6 +389,45 @@ class TestReplay:
         assert fields["s"] == row[4]
         assert fields["t"] == row[5]
         assert fields["success"] == row[6]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_dump_draws_the_trial_once_and_keeps_the_table(
+        self, capsys, tmp_path, monkeypatch, fmt
+    ):
+        calls = []
+        original = decoder._trial_output
+
+        def counted(*args):
+            calls.append(args[2:])
+            return original(*args)
+
+        monkeypatch.setattr(decoder, "_trial_output", counted)
+        monkeypatch.setattr(cli, "_trial_output", counted)
+        argv = [*SIM, "--trials", "1", "--seed", "3", "--format", fmt]
+        code, plain_out, _ = run(capsys, [*argv, "--out", str(tmp_path / "plain")])
+        assert code == 0 and calls == [(3, 0)]
+        calls.clear()
+        dump = tmp_path / "chan.bin"
+        code, dump_out, _ = run(
+            capsys, [*argv, "--out", str(tmp_path / "dumped"), "--dump", str(dump)]
+        )
+        assert code == 0 and calls == [(3, 0)]
+        assert dump_out == plain_out
+        assert (tmp_path / "dumped").read_bytes() == (tmp_path / "plain").read_bytes()
+        assert dump.stat().st_size > 0
+
+    def test_dump_keeps_the_budget_exit_and_the_scheme_warning(self, capsys, tmp_path):
+        dump = tmp_path / "chan.bin"
+        code, _, err = run(
+            capsys, [*SIM[:-1], str(2**20), "--trials", "1", "--dump", str(dump)]
+        )
+        assert code == 5 and "budget" in err
+        assert not dump.exists()
+        bad = ["simulate", *CH, "--K", "2", "--rix", "0.06", "--rin", "0.04",
+               "--rout", "0.8", "--M", "64", "--trials", "1", "--dump", str(dump)]
+        with pytest.warns(UserWarning, match="clustering margin|beta"):
+            code, _, _ = run(capsys, bad)
+        assert code == 0 and dump.exists()
 
     def test_dump_needs_single_trial(self, capsys, tmp_path):
         code, _, err = run(

@@ -2,8 +2,12 @@
 
 `reference_greedy_cluster` is the one-seed-at-a-time implementation the
 blocked pass replaced, kept here as a test oracle: for every input both must
-return the same clusters, in the same order, with the same members.
+return the same clusters, in the same order, with the same members. The scan
+sees every read, duplicates included, so it also checks that clustering the
+distinct reads once gives the rule's clusters.
 """
+
+import dataclasses
 
 import numpy as np
 import pytest
@@ -79,7 +83,22 @@ def assert_same(output, rho):
     config = ClusteringConfig(rho=rho)
     got = greedy_cluster(output, config)
     assert got == reference_greedy_cluster(output, config)
+    for cluster in got:
+        assert all(type(m) is int for m in cluster.members)
+        assert list(cluster.members) == sorted(cluster.members)
     return got
+
+
+def with_copies(output, rng, copies):
+    """The output with `copies` random rows overwritten by an earlier row;
+    returns it and the (source, copy) pairs."""
+    reads = output.reads.copy()
+    pairs = []
+    for dst in np.sort(rng.choice(np.arange(1, output.N), copies, replace=False)).tolist():
+        src = int(rng.integers(0, dst))
+        reads[dst] = reads[src]
+        pairs.append((src, dst))
+    return dataclasses.replace(output, reads=reads), pairs
 
 
 @hypothesis.settings(max_examples=300, deadline=None, derandomize=True)
@@ -124,6 +143,39 @@ def test_matches_reference_at_wide_diameters(p, rho):
     assert max(c.size for c in clusters) > out.N // 2
 
 
+class TestDuplicateReads:
+    @pytest.mark.parametrize("c", [0.5, 3, 8])
+    @pytest.mark.parametrize("rho", [0.05, 0.3, 0.55])
+    def test_noiseless_reads(self, c, rho):
+        # At p = 0 every read is an exact copy of its strand.
+        params = ChannelParams(c, 0.05, 0.0)
+        dims = InstanceDims.from_channel(params, 256)
+        out = simulate_channel(random_pool(dims, 11), params, 12)
+        assert len(np.unique(out.reads, axis=0)) < out.N
+        assert_same(out, rho)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_noisy_reads_with_copies_of_earlier_reads(self, seed):
+        params = ChannelParams(2, 0.05, 0.1)
+        dims = InstanceDims.from_channel(params, 256)
+        out = simulate_channel(random_pool(dims, seed), params, seed + 100)
+        out, pairs = with_copies(out, np.random.default_rng(seed), 120)
+        clusters = assert_same(out, 0.3)
+        seeds = {c.members[0] for c in clusters}
+        # Some copied reads were absorbed by an earlier seed's cluster, and
+        # some seeded a cluster of their own past the first block.
+        assert any(src not in seeds for src, _ in pairs)
+        assert any(src in seeds and src >= _SEED_BLOCK for src, _ in pairs)
+        label = {m: k for k, c in enumerate(clusters) for m in c.members}
+        assert all(label[src] == label[dst] for src, dst in pairs)
+
+    @pytest.mark.parametrize("length", [70, 200])
+    def test_every_read_identical(self, length):
+        row = np.random.default_rng(length).integers(0, 2, length)
+        clusters = assert_same(bits_output(np.tile(row, (3 * _SEED_BLOCK, 1))), 0.05)
+        assert clusters == [Cluster(tuple(range(3 * _SEED_BLOCK)))]
+
+
 class TestFixedCases:
     def test_no_reads(self):
         assert assert_same(bits_output(np.zeros((0, 10))), 0.3) == []
@@ -141,6 +193,16 @@ class TestFixedCases:
         base = rng.integers(0, 2, size=(40, length))
         noisy = base[rng.integers(0, 40, size=300)] ^ (rng.random((300, length)) < 0.05)
         assert_same(bits_output(noisy), max(1.0 / length, 0.2))
+
+    @pytest.mark.parametrize("length", [1, 63, 65, 127, 130, 200])
+    def test_length_not_a_multiple_of_64_with_copies(self, length):
+        # Half the reads are exact copies of one of 40 strands.
+        rng = np.random.default_rng(length)
+        base = rng.integers(0, 2, size=(40, length))
+        noise = (rng.random((300, length)) < 0.05) & (np.arange(300) % 2 == 0)[:, None]
+        reads = base[rng.integers(0, 40, size=300)] ^ noise
+        assert len(np.unique(reads, axis=0)) < 300
+        assert_same(bits_output(reads), max(1.0 / length, 0.2))
 
     def test_long_reads_need_a_wide_accumulator(self):
         # Complementary reads sit L = 2^16 + 1000 bits apart; a 16-bit count
