@@ -64,7 +64,8 @@ MC_CHUNK = 65536
 # Upper-tail mass P(X > d) at which the Monte-Carlo sampling table is cut.
 _TABLE_TAIL = 1e-16
 # Table cells handled at once: histogram cells drawn within an MC chunk (only
-# tables wider than 64 entries, c above 18, split a chunk) or types gathered.
+# tables wider than 64 entries, c above 18, split a chunk), or type-table
+# cells built, weighed or gathered.
 _HIST_CELLS = 1 << 22
 # Hard ceiling on exact enumeration, in type-table cells (types x stored columns).
 ENUM_CAP = 10**8
@@ -298,32 +299,52 @@ def _exact_support(params, K, tail_eps):
         )
     cols, z = min(K, d_max), max(0, K - d_max)
     types = np.zeros((1, 0), dtype=np.min_scalar_type(d_max))
-    total = last = np.zeros(1, dtype=np.int32)  # ENUM_CAP bounds d_max and the rows
-    run = np.full(1, float(z))  # length of the run of equal values ending each row
-    log_repeats = np.zeros(1)  # log prod(m_i!) / z!, accumulated run by run
+    # Parents per block: each has at most d_max + 1 children, so a block's new
+    # rows hold at most _HIST_CELLS cells and the temporaries stay bounded.
+    step = max(1, _HIST_CELLS // ((d_max + 1) * max(1, cols)))
     for j in range(cols):
+        last = types[:, -1] if j else np.zeros(1, dtype=types.dtype)
         # the cols - j components still to place are all >= the next value
-        n_next = (d_max - total) // (cols - j) - last + 1
-        rows = np.repeat(np.arange(len(types), dtype=np.int32), n_next)
-        start = np.repeat(np.cumsum(n_next, dtype=np.int32) - n_next, n_next)
-        nxt = last[rows] + np.arange(rows.size, dtype=np.int32) - start
-        run = np.where(nxt == last[rows], run[rows] + 1.0, 1.0)
-        log_repeats = log_repeats[rows] + np.log(run)
-        total, last = total[rows] + nxt, nxt
-        types = np.column_stack([types[rows], nxt.astype(types.dtype)])
+        n_next = (d_max - types.sum(axis=1, dtype=np.int32)) // (cols - j) - last + 1
+        start = np.cumsum(n_next) - n_next  # first new row of each parent
+        grown = np.empty((int(start[-1] + n_next[-1]), j + 1), dtype=types.dtype)
+        for p0 in range(0, len(types), step):
+            n = n_next[p0 : p0 + step]
+            rows = np.repeat(np.arange(p0, p0 + n.size), n)
+            block = slice(start[p0], start[p0] + rows.size)
+            grown[block, :j] = types[rows]
+            grown[block, j] = last[rows] + np.arange(start[p0], block.stop) - start[rows]
+        types = grown
     # log K!/z! as cols logs when z > 0: no lgamma(K+1) - lgamma(z+1) cancellation
     log_coef = math.fsum(np.log(np.arange(z + 1.0, K + 1))) if z else math.lgamma(K + 1)
     log_pmf = _poisson_table(params.c, d_max)[0]
-    log_w = log_coef - log_repeats + (_type_means(log_pmf, types, 1) + z * log_pmf[0])
-    return types, np.exp(log_w), float(pdtrc(d_max, K * params.c)), d_max
+    weights = np.empty(len(types))
+    for b in _row_blocks(types):
+        t = types[b]
+        run = np.full(len(t), float(z))  # length of the run of equal values ending at col
+        log_repeats = np.zeros(len(t))  # log prod(m_i!) / z!, accumulated run by run
+        prev = 0  # the z implied zeros precede the first column
+        for col in t.T:
+            run = np.where(col == prev, run + 1.0, 1.0)
+            log_repeats += np.log(run)
+            prev = col
+        weights[b] = np.exp(log_coef - log_repeats + (log_pmf[t].sum(axis=1) + z * log_pmf[0]))
+    return types, weights, float(pdtrc(d_max, K * params.c)), d_max
+
+
+def _row_blocks(types):
+    """Slices of the type table's rows, _HIST_CELLS cells or fewer each."""
+    step = max(1, _HIST_CELLS // max(1, types.shape[1]))
+    return [slice(r, r + step) for r in range(0, len(types), step)]
 
 
 def _type_means(table, types, K):
-    """Row sums of table[types] / K, gathered _HIST_CELLS cells at a time. With
+    """Row sums of table[types] / K, gathered one row block at a time. With
     table = gtab these are the gated block capacities: implied zeros add gtab[0] = 0."""
-    step = max(1, _HIST_CELLS // max(1, types.shape[1]))
-    parts = np.split(types, range(step, len(types), step))
-    return np.concatenate([table[t].sum(axis=1) / K for t in parts])
+    means = np.empty(len(types))
+    for b in _row_blocks(types):
+        means[b] = table[types[b]].sum(axis=1) / K
+    return means
 
 
 def _type_batches(seed, chunk_index, n, K, pmf):
@@ -341,8 +362,14 @@ def _type_batches(seed, chunk_index, n, K, pmf):
 
 
 def _hist_means(h, gtab, K):
-    """Gated block capacity of each sampled histogram row."""
-    return h @ gtab / K
+    """Gated block capacity of each sampled histogram row.
+
+    einsum without `optimize` sums each row on its own in a fixed order, so a
+    row's value does not depend on its dtype (int64 batches or the optimiser's
+    uint16 matrix) or on the rows around it, and no BLAS call starts its own
+    thread pool under the MC worker threads.
+    """
+    return np.einsum("ij,j->i", h, gtab) / K
 
 
 def _chunk_sizes(samples):
@@ -365,8 +392,14 @@ def achievable_outer_rate_exact(params, scheme, tail_eps=1e-12):
     _check_tail_eps(tail_eps)
     types, weights, truncation, d_max = _exact_support(params, scheme.K, tail_eps)
     gtab = gated_capacity_table(params.p, d_max, scheme.r_ix)
-    value = float(weights[_type_means(gtab, types, scheme.K) > scheme.r_in].sum())
-    return RateEstimate(value, 0.0, "exact", 0, truncation)
+    # The winners' weights are moved in order to the front of `weights`, block
+    # by block: the sum of weights[means > r_in] without a full-length copy.
+    won = 0
+    for b in _row_blocks(types):
+        w = weights[b][_type_means(gtab, types[b], scheme.K) > scheme.r_in]
+        weights[won : won + w.size] = w
+        won += w.size
+    return RateEstimate(float(weights[:won].sum()), 0.0, "exact", 0, truncation)
 
 
 def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
@@ -507,9 +540,8 @@ def _sample_count_matrix(params, K, samples, seed, threads=1):
     """Per-sample histogram of draw counts, shared across index-rate candidates.
 
     Row j holds how many of sample j's K draws equal each count value; the
-    gated block capacity for any index rate is then a single matrix-vector
-    product. The rows are the ones achievable_outer_rate_mc draws from the
-    same seed.
+    gated block capacity for any index rate is then one _hist_means pass. The
+    rows are the ones achievable_outer_rate_mc draws from the same seed.
     """
     sizes = _chunk_sizes(samples)
     pmf = _sampling_masses(params.c)
@@ -575,11 +607,7 @@ def optimize_scheme(
         # Weighted count of each stored draw value (implied zeros weigh gtab[0] = 0).
         mean_hist = sum(np.bincount(col, weights, d_max_tab + 1) for col in types.T)
     else:
-        # One float64 copy: each level's product with the integer matrix
-        # would otherwise cast all of it again.
-        counts = _sample_count_matrix(params, K, samples, seed, threads).astype(
-            np.float64
-        )
+        counts = _sample_count_matrix(params, K, samples, seed, threads)
         d_max_tab = counts.shape[1] - 1
         weights, total = np.ones(samples), samples
         mean_hist = counts.sum(axis=0) / samples
@@ -589,7 +617,7 @@ def optimize_scheme(
     for d0, r_ix in zip(*_index_levels(ctab, params.beta, epsilon)):
         gtab = _gate(ctab, r_ix)
         gain = 1.0 - params.beta / r_ix
-        if best is not None and mean_hist @ gtab / K * gain * (1.0 + 1e-12) < best[0]:
+        if best is not None and np.dot(mean_hist, gtab) / K * gain * (1.0 + 1e-12) < best[0]:
             continue
         values = _type_means(gtab, types, K) if use_exact else _hist_means(counts, gtab, K)
         r_in, r_out = _best_inner_rate(values, weights, total)

@@ -3,6 +3,7 @@ import itertools
 import math
 import re
 import time
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -270,6 +271,29 @@ class TestExactOuterRate:
         assert len(types) == rates._type_count(d_max, K, 10**12)
         assert types.shape[1] == min(K, d_max) and types.dtype == np.uint8
 
+    def test_support_memory_is_bounded_by_its_output(self):
+        # Per-row temporaries are built one row block at a time, so the table
+        # and its weights, not float64 copies of them, set the peak.
+        tracemalloc.start()
+        try:
+            types, weights, _, _ = rates._exact_support(params_for(2), 11, 1e-12)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(types) > 5 * (rates._HIST_CELLS // types.shape[1])  # many row blocks
+        assert peak <= 3 * (types.nbytes + weights.nbytes)
+
+    def test_blockwise_sum_is_the_masked_sum(self):
+        # the winners' weights are compacted block by block, then summed once
+        params, K = params_for(2), 10
+        types, weights, _, d_max = rates._exact_support(params, K, 1e-12)
+        assert len(types) > 3 * (rates._HIST_CELLS // types.shape[1])  # several row blocks
+        gtab = rates.gated_capacity_table(0.1, d_max, RIX1)
+        means = gtab[types].sum(axis=1) / K
+        for r_in in (0.3, 0.52, 0.55, 0.6):
+            est = achievable_outer_rate_exact(params, SchemeParams(K, RIX1, r_in, 1.0))
+            assert est.value == float(weights[means > r_in].sum())
+
     def test_numpy_block_size_counts_without_overflow(self):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -425,6 +449,41 @@ class TestTypeSampler:
         wins = int((rates._hist_means(counts, gtab, K) > 0.47).sum())
         est = achievable_outer_rate_mc(params, scheme, samples, seed=seed)
         assert est.value == wins / samples
+
+
+def bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+class TestHistMeans:
+    # The optimiser's reported R_out equals the estimator's value only because
+    # a row's block mean depends on nothing but the row: not on its dtype, the
+    # rows drawn with it, or the thread that computes it.
+    @pytest.mark.parametrize("c, K", [(2, 10), (10, 100), (50, 5), (2, 1000), (10, 10**4)])
+    def test_rows_bit_identical_across_dtypes_and_row_counts(self, c, K):
+        pmf = rates._sampling_masses(float(c))
+        gtab = rates.gated_capacity_table(0.1, len(pmf) - 1, 0.5)
+        h = np.vstack(list(rates._type_batches(3, 0, 20_000, K, pmf)))
+        assert h.dtype == np.int64
+        means = bits(rates._hist_means(h, gtab, K))
+        for dtype in (np.float64, np.uint16):  # the optimiser's count matrix is uint16
+            assert np.array_equal(means, bits(rates._hist_means(h.astype(dtype), gtab, K)))
+        for n in (1, 3, 17, 4_099, 19_999):
+            assert np.array_equal(means[:n], bits(rates._hist_means(h[:n], gtab, K)))
+        assert np.array_equal(means[5:], bits(rates._hist_means(h[5:], gtab, K)))
+
+    def test_rows_bit_identical_on_worker_threads(self):
+        K, seed = 100, 6
+        pmf = rates._sampling_masses(10.0)
+        gtab = rates.gated_capacity_table(0.1, len(pmf) - 1, 0.5)
+
+        def chunk_means(ci):
+            batches = rates._type_batches(seed, ci, rates.MC_CHUNK, K, pmf)
+            return bits(np.concatenate([rates._hist_means(h, gtab, K) for h in batches]))
+
+        serial = rates._map_chunks(chunk_means, 2, 1)
+        threaded = rates._map_chunks(chunk_means, 2, 2)
+        assert all(np.array_equal(a, b) for a, b in zip(serial, threaded))
 
 
 class TestOverallRate:
