@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .multidraw import _check_count, poisson_pmf_vec
+from .multidraw import _check_block_size, _check_count, _check_index_overhead, poisson_pmf_vec
 from .seeding import substream
 
 __all__ = [
@@ -75,15 +75,13 @@ class InstanceDims:
         """Derive L and N from channel parameters: L = ceil(log2(M)/beta),
         N = round(c*M). Blocks of K strands must tile the pool exactly."""
         M = _check_count(M, "M", positive=True)
-        if K < 1 or M % K != 0:
-            raise ValueError(f"K ({K!r}) must divide M ({M})")
+        _check_block_size(K, M)
         L = math.ceil(math.log2(M) / params.beta) if M > 1 else math.ceil(1 / params.beta)
         return cls(M=M, L=L, N=round(params.c * M))
 
     def payload_length(self, beta, r_ix):
         """Bits per strand left for data once the coded index is carved out."""
-        if not beta < r_ix:
-            raise ValueError(f"beta ({beta!r}) must be below r_ix ({r_ix!r})")
+        r_ix = _check_index_overhead(beta, r_ix)
         return self.L * (1.0 - beta / r_ix)
 
 
@@ -178,9 +176,7 @@ def simulate_channel(pool, params, seed):
 def draw_histogram(output, K):
     """Count per-strand draws and group them into per-block draw vectors."""
     M = output.pool_size
-    K = _check_count(K, "K", positive=True)
-    if M % K != 0:
-        raise ValueError(f"K ({K!r}) must divide the pool size ({M})")
+    K = _check_block_size(K, M)
     per_strand = np.bincount(output.origins, minlength=M).astype(np.int64)
     blocks = per_strand.reshape(M // K, K)
     per_block = dict(Counter(map(tuple, blocks.tolist())))

@@ -26,6 +26,7 @@ from .decoder import (
     decode,
     run_pipeline,
 )
+from .multidraw import _check_count, _check_index_overhead, _check_unit
 from .rates import (
     ChannelParams,
     EnumerationCapError,
@@ -36,9 +37,9 @@ from .rates import (
     mean_gated_capacity,
     optimize_scheme,
     overall_rate,
-    _check_tail_eps,
     _use_exact,
 )
+from .seeding import _check_threads
 
 __all__ = ["main"]
 
@@ -116,6 +117,8 @@ def _merge(args):
             setattr(args, key, config.get(key, default))
     if args.threads is None:
         args.threads = _default_threads()
+    _check_count(args.samples, "samples", positive=True)
+    _check_threads(args.threads)
     return args
 
 
@@ -125,13 +128,13 @@ def _need(args, *names):
             raise CliError(2, f"--{name} is required")
 
 
-# Range checks live in ChannelParams, SchemeParams and the library entry
-# points; their ValueErrors leave main() with exit code 2.
+# Range checks live in ChannelParams, SchemeParams and the rule helpers every
+# library entry point calls; their ValueErrors leave main() with exit code 2.
 
 def _channel(args):
     _need(args, "c", "beta", "p")
     params = ChannelParams(c=args.c, beta=args.beta, p=args.p)
-    _check_tail_eps(args.tail_eps)
+    _check_unit(args.tail_eps, "tail_eps")
     return params
 
 
@@ -197,8 +200,7 @@ def cmd_capacity(args):
 def _estimate(params, scheme, args):
     # Checked before any estimate, so an infeasible exact request never
     # hides the invalid scheme behind exit code 3.
-    if scheme.r_ix <= params.beta:
-        raise CliError(2, f"rix must exceed beta ({params.beta}), got {scheme.r_ix}")
+    _check_index_overhead(params.beta, scheme.r_ix)
     if _use_exact(params, scheme.K, args.method, args.tail_eps):
         return achievable_outer_rate_exact(params, scheme, args.tail_eps)
     return achievable_outer_rate_mc(params, scheme, args.samples, args.seed, args.threads)
@@ -332,6 +334,16 @@ def cmd_optimize(args):
     return 0
 
 
+def _sim_table(reports, fmt):
+    """simulate's table: one row of decoder counters per trial."""
+    rows = [
+        (i, r.m_wrong_clusters, r.m_wrong_index, r.m_wrong_inner, r.erasures, r.errors,
+         r.outer_success)
+        for i, r in enumerate(reports)
+    ]
+    return _table(SIM_HEADER, rows, fmt)
+
+
 def cmd_simulate(args):
     params = _channel(args)
     scheme = _scheme(args, need_rout=True)
@@ -360,12 +372,7 @@ def cmd_simulate(args):
             dump_channel(output, args.dump)
         except OSError as exc:
             raise CliError(4, f"cannot write {args.dump}: {exc}")
-    rows = [
-        (i, r.m_wrong_clusters, r.m_wrong_index, r.m_wrong_inner, r.erasures, r.errors,
-         r.outer_success)
-        for i, r in enumerate(reports)
-    ]
-    _write(args.out, _table(SIM_HEADER, rows, args.format))
+    _write(args.out, _sim_table(reports, args.format))
     print(f"success_rate = {_fmt6(sum(r.outer_success for r in reports) / len(reports))}")
     return 0
 
@@ -387,6 +394,8 @@ def cmd_replay(args):
     params = _channel(args)
     scheme = _scheme(args, need_rout=True)
     report = decode(output, params, scheme, ClusteringConfig(rho=args.rho))
+    if args.out is not None:
+        _write(args.out, _sim_table([report], args.format))
     print(f"M_C = {report.m_wrong_clusters}")
     print(f"M_Ix = {report.m_wrong_index}")
     print(f"M_In = {report.m_wrong_inner}")

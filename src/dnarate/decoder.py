@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .channel import InstanceDims, random_pool, simulate_channel
-from .multidraw import _check_count, gated_capacity_table
+from .multidraw import (_check_block_size, _check_count, _check_draw_vector, _check_unit,
+                        gated_capacity_table)
 from .rates import validate_scheme
 from .seeding import _check_threads, _map_chunks, derive_seed
 
@@ -51,6 +52,12 @@ class BudgetError(RuntimeError):
     """Requested simulation exceeds the pairwise-distance work budget."""
 
 
+def _check_rho(rho):
+    """Validate a clustering diameter fraction; must lie in (0, 1]. A fraction
+    of 1, the whole strand, is the only one-bit diameter at L = 1."""
+    return _check_unit(rho, "rho", "(]")
+
+
 @dataclass(frozen=True)
 class ClusteringConfig:
     """Clustering diameter as a fraction of the strand length.
@@ -65,10 +72,7 @@ class ClusteringConfig:
 
     def resolve(self, p):
         """Diameter fraction for a channel with flip probability p."""
-        rho = self.rho if self.rho is not None else 2.0 * p + self.epsilon_prime
-        if not 0.0 < rho < 1.0:
-            raise ValueError(f"clustering diameter fraction out of (0, 1): {rho}")
-        return rho
+        return _check_rho(self.rho if self.rho is not None else 2.0 * p + self.epsilon_prime)
 
     def resolved(self, p):
         """Copy of this config with rho pinned for flip probability p."""
@@ -160,7 +164,7 @@ def greedy_cluster(output, config):
         raise ValueError(
             "ClusteringConfig.rho is unset; pin it with resolved(p) or pass rho"
         )
-    threshold = config.rho * output.length
+    threshold = _check_rho(config.rho) * output.length
     if threshold < 1.0:
         raise ValueError(f"clustering diameter rho*L = {threshold} is below one bit")
     t = int(threshold)  # distances are whole bits
@@ -287,12 +291,13 @@ def _clean_strands(clusters, output):
 
 
 def count_wrong_clusters(clusters, output):
-    """Count clusters that are not exactly the full read set of one strand."""
-    covered = sum(c.size for c in clusters)
-    if covered != output.N:
-        raise ValueError(
-            f"clustering covers {covered} reads, expected {output.N}"
-        )
+    """Count clusters that are not exactly the full read set of one strand.
+    The clusters must partition the reads: each read in exactly one."""
+    members = sorted(itertools.chain.from_iterable(c.members for c in clusters))
+    if members != list(range(output.N)):
+        covered = len(set(members).intersection(range(output.N)))
+        raise ValueError(f"clustering covers {covered} reads, expected {output.N}, in "
+                         f"{len(members)} members; clusters must partition the reads")
     return int((_clean_strands(clusters, output) < 0).sum())
 
 
@@ -332,13 +337,10 @@ def oracle_inner_decode(draws, params, scheme, m_wrong_clusters=0, m_wrong_index
     the codeword length. The oracle itself never mis-decodes a clean block,
     so m_wrong_inner is structurally zero.
     """
-    draws = np.asarray(draws, dtype=np.int64)
-    m = draws.size
-    K = scheme.K
-    if m % K != 0:
-        raise ValueError(f"K ({K}) must divide the number of strands ({m})")
-    blocks = m // K
-    gtab = gated_capacity_table(params.p, int(draws.max(initial=0)), scheme.r_ix)
+    draws = _check_draw_vector(draws, "draws")
+    K = _check_block_size(scheme.K, draws.size)
+    blocks = draws.size // K
+    gtab = gated_capacity_table(params.p, int(draws.max()), scheme.r_ix)
     block_caps = gtab[draws.reshape(blocks, K)].mean(axis=1)
     decoded = block_caps > scheme.r_in
     n_erased = int(blocks - decoded.sum())
@@ -373,8 +375,7 @@ def decode(output, params, scheme, config=None):
     divide. The check runs before clustering, the costly stage.
     """
     M = output.pool_size
-    if M % scheme.K != 0:
-        raise ValueError(f"K ({scheme.K}) must divide the pool size ({M})")
+    _check_block_size(scheme.K, M)
     config = (config or ClusteringConfig()).resolved(params.p)
     clusters = greedy_cluster(output, config)
     m_c = count_wrong_clusters(clusters, output)

@@ -49,7 +49,7 @@ def _check_count(n, name, positive=False):
     return int(n)
 
 
-def _check_draw_vector(d):
+def _check_draw_vector(d, name="d"):
     """Validate a nonempty vector of draw counts: an integer dtype and no
     negative entry, the vector form of _check_count. Returns it as int64."""
     arr = np.asarray(d)
@@ -60,17 +60,34 @@ def _check_draw_vector(d):
         or (arr < 0).any()
     ):
         raise ValueError(
-            f"d out of range: must be a nonempty vector of nonnegative integers, got {d!r}"
+            f"{name} out of range: must be a nonempty vector of nonnegative integers, got {d!r}"
         )
     return arr.astype(np.int64)
 
 
-def _check_index_rate(r_ix):
-    """Validate an index code rate; must lie in (0, 1)."""
-    r_ix = float(r_ix)
-    if not 0.0 < r_ix < 1.0:
-        raise ValueError(f"r_ix out of range: must be in (0, 1), got {r_ix!r}")
+def _check_unit(x, name, ends="()"):
+    """Validate a rate or fraction in the unit interval, each end open or
+    closed as `ends` writes it: "()", "(]" or "[]". Returns it as a float."""
+    x = float(x)
+    if not 0.0 <= x <= 1.0 or (x == 0.0 and ends[0] == "(") or (x == 1.0 and ends[1] == ")"):
+        raise ValueError(f"{name} out of range: must be in {ends[0]}0, 1{ends[1]}, got {x!r}")
+    return x
+
+
+def _check_index_overhead(beta, r_ix):
+    """Validate an index code rate in (0, 1) above beta, leaving room for data."""
+    r_ix = _check_unit(r_ix, "r_ix")
+    if not beta < r_ix:
+        raise ValueError(f"beta ({beta!r}) must be below r_ix ({r_ix!r}): no room for data")
     return r_ix
+
+
+def _check_block_size(K, M):
+    """Validate a block size: a positive integer K dividing M. Returns K as an int."""
+    K = _check_count(K, "K", positive=True)
+    if M % K:
+        raise ValueError(f"K ({K}) must divide the number of strands M ({M})")
+    return K
 
 
 # ---------------------------------------------------------------------------
@@ -215,9 +232,7 @@ def poisson_pmf_vec(c, d):
 
 def binary_entropy(x):
     """Entropy in bits of a Ber(x) variable, with the 0 log 0 = 0 convention."""
-    x = float(x)
-    if math.isnan(x) or not 0.0 <= x <= 1.0:
-        raise ValueError(f"entropy argument must be in [0, 1], got {x!r}")
+    x = _check_unit(x, "x", "[]")
     if x == 0.0 or x == 1.0:
         return 0.0
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
@@ -252,7 +267,7 @@ def multi_draw_capacity(d, p):
 def gated_capacity(d, p, r_ix):
     """Capacity of the d-fold observation channel, zeroed when it cannot
     carry an index of rate r_ix (strict comparison)."""
-    r_ix = _check_index_rate(r_ix)
+    r_ix = _check_unit(r_ix, "r_ix")
     cap = multi_draw_capacity(d, p)
     return cap if cap > r_ix else 0.0
 
@@ -266,7 +281,7 @@ def capacity_table(p, d_max):
 
 def gated_capacity_table(p, d_max, r_ix):
     """Array of index-gated capacities for d = 0 .. d_max."""
-    r_ix = _check_index_rate(r_ix)
+    r_ix = _check_unit(r_ix, "r_ix")
     return _gate(capacity_table(p, d_max), r_ix)
 
 

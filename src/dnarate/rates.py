@@ -24,8 +24,9 @@ from scipy.special import pdtrc
 from .multidraw import (  # noqa: F401
     _check_count,
     _check_draw_vector,
-    _check_index_rate,
+    _check_index_overhead,
     _check_reading_rate,
+    _check_unit,
     _gate,
     _log_poisson_pmf,
     binary_entropy,
@@ -69,6 +70,8 @@ _TABLE_TAIL = 1e-16
 _HIST_CELLS = 1 << 22
 # Hard ceiling on exact enumeration, in type-table cells (types x stored columns).
 ENUM_CAP = 10**8
+# Relative gap kept between an optimised inner rate and its block value.
+_R_IN_MARGIN = 1e-12
 # "auto" method switches to Monte-Carlo above this many type-table cells;
 # the full ENUM_CAP is only honoured when exact evaluation is requested.
 AUTO_EXACT_CELLS = 4_000_000
@@ -89,8 +92,7 @@ class ChannelParams:
 
     def __post_init__(self):
         _check_reading_rate(self.c)
-        if not 0.0 < self.beta < 1.0:
-            raise ValueError(f"beta out of range: must be in (0, 1), got {self.beta!r}")
+        _check_unit(self.beta, "beta")
         check_crossover(self.p)
 
 
@@ -105,11 +107,9 @@ class SchemeParams:
 
     def __post_init__(self):
         _check_count(self.K, "K", positive=True)
-        _check_index_rate(self.r_ix)
-        if not 0.0 < self.r_in < 1.0:
-            raise ValueError(f"r_in out of range: must be in (0, 1), got {self.r_in!r}")
-        if not 0.0 < self.r_out <= 1.0:
-            raise ValueError(f"r_out out of range: must be in (0, 1], got {self.r_out!r}")
+        _check_unit(self.r_ix, "r_ix")
+        _check_unit(self.r_in, "r_in")
+        _check_unit(self.r_out, "r_out", "(]")
 
     def overall(self, beta):
         """Net rate of this scheme on a channel with strand density beta."""
@@ -193,15 +193,10 @@ def _sampling_masses(c):
     return _poisson_table(c, _poisson_cut(c, _TABLE_TAIL))[1]
 
 
-def _check_tail_eps(tail_eps):
-    if not 0.0 < tail_eps < 1.0:
-        raise ValueError(f"tail_eps out of range: must be in (0, 1), got {tail_eps!r}")
-
-
 def _capacity_terms(params, tail_eps):
     """Poisson masses and capacities C_d of one strand's draw count, on
     d = 0 .. d_max, d_max the smallest count whose tail mass is below tail_eps."""
-    _check_tail_eps(tail_eps)
+    _check_unit(tail_eps, "tail_eps")
     d_max = _poisson_cut(params.c, tail_eps)
     return _poisson_table(params.c, d_max)[1], capacity_table(params.p, d_max)
 
@@ -238,7 +233,7 @@ def block_capacity(d, p, r_ix):
 def mean_gated_capacity(params, r_ix, tail_eps=1e-12):
     """Expected index-gated capacity of a single strand's draw count."""
     pmf, ctab = _capacity_terms(params, tail_eps)
-    return float(np.dot(pmf, _gate(ctab, _check_index_rate(r_ix))))
+    return float(np.dot(pmf, _gate(ctab, _check_unit(r_ix, "r_ix"))))
 
 
 # ---------------------------------------------------------------------------
@@ -389,7 +384,7 @@ def achievable_outer_rate_exact(params, scheme, tail_eps=1e-12):
     component sum below the certified tail cut. The neglected mass is
     reported as truncation_mass, never silently dropped.
     """
-    _check_tail_eps(tail_eps)
+    _check_unit(tail_eps, "tail_eps")
     types, weights, truncation, d_max = _exact_support(params, scheme.K, tail_eps)
     gtab = gated_capacity_table(params.p, d_max, scheme.r_ix)
     # The winners' weights are moved in order to the front of `weights`, block
@@ -432,13 +427,10 @@ def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
 
 def overall_rate(r_in, r_out, r_ix, beta):
     """Net information rate: outer times inner rate, discounted by the
-    per-strand index overhead beta / r_ix."""
-    r_ix = _check_index_rate(r_ix)
-    if not beta < r_ix:
-        raise ValueError(
-            f"beta ({beta!r}) must be below r_ix ({r_ix!r}); "
-            "the index overhead would consume the whole strand"
-        )
+    per-strand index overhead beta / r_ix. r_in is a code rate, in (0, 1)
+    as in SchemeParams; r_out is an achieved outer rate, in [0, 1]."""
+    r_in, r_out = _check_unit(r_in, "r_in"), _check_unit(r_out, "r_out", "[]")
+    r_ix = _check_index_overhead(beta, r_ix)
     return r_out * r_in * (1.0 - beta / r_ix)
 
 
@@ -449,8 +441,7 @@ def asymptotic_rate(params, r_ix, tail_eps=1e-12):
     expectation, so the inner rate can be set just below it and the outer
     rate approaches 1.
     """
-    if not r_ix > params.beta:
-        raise ValueError(f"r_ix ({r_ix!r}) must exceed beta ({params.beta!r})")
+    r_ix = _check_index_overhead(params.beta, r_ix)
     mean = mean_gated_capacity(params, r_ix, tail_eps)
     return mean * (1.0 - params.beta / r_ix)
 
@@ -562,15 +553,20 @@ def _best_inner_rate(values, weights, total):
     """Supremum of r * W(V > r) / total over inner rates r, and its W / total.
 
     W(V > r) is a step function falling at each block value v, so the
-    supremum is the largest v * W(V >= v), approached from just below v. The
-    reported inner rate is the float below v, where W(V > r) is W(V >= v)
-    exactly. Of equal values the first in sorted order has the largest tail.
+    supremum is the largest v * W(V >= v), approached from just below v. Of
+    equal values the first in sorted order has the largest tail. The
+    reported inner rate is v less a relative _R_IN_MARGIN, with the weight of
+    the values above it: the package sums a block's K capacities in several
+    orders (sorted types, histograms, strand order, fsum), whose results
+    spread by up to about 2K ulps, so a rate one float below v would erase
+    the blocks of value v that another order rounds down.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
     tail = np.cumsum(weights[order][::-1])[::-1] / total
     j = int(np.argmax(v * tail))
-    return float(np.nextafter(v[j], 0.0)), float(tail[j])
+    r_in = float(v[j]) * (1.0 - _R_IN_MARGIN)
+    return r_in, float(tail[np.searchsorted(v, r_in, side="right")])
 
 
 def optimize_scheme(
@@ -589,7 +585,9 @@ def optimize_scheme(
     draw-count table. The outer rate R_out(r_in), the weight of blocks whose
     gated capacity exceeds r_in, is a step function, so for each candidate
     the supremum of r_in * R_out(r_in) is the largest v * W(V >= v) over
-    block values v, with r_in the float just below v. It is at most the mean
+    block values v; r_in is reported a relative 1e-12 below v, past the
+    rounding spread of a block's value, so that every estimator and the
+    decoder decode the blocks of value v. The supremum is at most the mean
     E_W[V] (Markov), so a candidate whose mean cannot beat the best so far is
     skipped; the result is the first maximum of a full scan. The table is
     every draw-count type where _use_exact allows, else Monte-Carlo block
@@ -597,8 +595,9 @@ def optimize_scheme(
     reported outer rate is what the matching estimator returns.
     """
     _check_count(K, "K", positive=True)
+    _check_count(samples, "samples", positive=True)
     _check_threads(threads)
-    _check_tail_eps(tail_eps)
+    _check_unit(tail_eps, "tail_eps")
     _check_epsilon(epsilon)
     use_exact = _use_exact(params, K, method, tail_eps)
     if use_exact:
@@ -623,7 +622,7 @@ def optimize_scheme(
         r_in, r_out = _best_inner_rate(values, weights, total)
         val = r_in * r_out * gain
         if best is None or val > best[0]:
-            best = (val, int(d0), float(r_ix), r_in, r_out)
+            best = (float(val), int(d0), float(r_ix), r_in, r_out)
 
     if best is None or best[0] <= 0.0:
         raise ValueError("no scheme with positive rate exists for these parameters")

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import re
 import time
 
 import numpy as np
@@ -46,6 +47,20 @@ class TestInstanceDims:
         with pytest.raises(ValueError):
             InstanceDims.from_channel(PARAMS, 1000, K=3)
         assert InstanceDims.from_channel(PARAMS, 1024, K=4).M == 1024
+
+    @pytest.mark.parametrize("K", [2.0, True, 0, -2])
+    def test_block_size_is_a_positive_integer(self, K):
+        message = re.escape(f"K out of range: must be a positive integer, got {K!r}")
+        with pytest.raises(ValueError, match=message):
+            InstanceDims.from_channel(PARAMS, 64, K)
+
+    def test_one_tiling_message(self):
+        # the library's four tiling checks share one message
+        message = re.escape("K (3) must divide the number of strands M (64)")
+        with pytest.raises(ValueError, match=message):
+            InstanceDims.from_channel(PARAMS, 64, 3)
+        with pytest.raises(ValueError, match=message):
+            draw_histogram(make_output(np.zeros((1, 8)), [0], pool_size=64), 3)
 
     def test_payload_length(self):
         dims = InstanceDims.from_channel(PARAMS, 1024)

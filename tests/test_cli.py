@@ -63,6 +63,14 @@ INVALID = {
     "curve K sweep threads zero": (
         ["curve", "--sweep", "K", "--values", "1", *CH, "--threads", "0"], 2),
     "simulate threads zero": ([*SIM, "--threads", "0"], 2),
+    "capacity threads zero": (["capacity", *CH, "--threads", "0"], 2),
+    "exact rate samples zero": (["rate", *CH, *SCHEME, "--method", "exact", "--samples", "0"], 2),
+    "auto rate samples zero": (["rate", *CH, *SCHEME, "--samples", "0"], 2),
+    "optimize samples negative, auto picks exact": (
+        ["optimize", *CH, "--K", "3", "--samples=-5"], 2),
+    "asymptotic curve rin outside (0, 1)": (
+        ["curve", "--sweep", "rin", "--K", "0", "--rix", "0.5304", "--values=-0.5,0.2,1.5",
+         "--c", "2", "--beta", "0.05", "--p", "0.1"], 2),
 }
 
 
@@ -291,11 +299,22 @@ class TestOptimize:
 
     @pytest.mark.parametrize("samples", ["0", "-5"])
     def test_mc_sample_budget_checked(self, capsys, samples):
-        code, out, err = run(capsys, ["optimize", "--c", "2", "--beta", "0.05", "--p", "0.1",
-                                      "--K", "100", f"--samples={samples}", "--method", "mc"])
-        assert code == 2
-        assert out == ""
-        assert f"samples out of range: must be a positive integer, got {samples}" in err
+        # under every method, although only Monte-Carlo spends the budget
+        for method in ("mc", "exact", "auto"):
+            code, out, err = run(capsys, ["optimize", "--c", "2", "--beta", "0.05", "--p", "0.1",
+                                          "--K", "100", f"--samples={samples}",
+                                          "--method", method])
+            assert code == 2
+            assert out == ""
+            assert f"samples out of range: must be a positive integer, got {samples}" in err
+
+    def test_csv_row_is_numeric(self, capsys, tmp_path):
+        # the overall rate was written as "np.float64(...)"
+        path = tmp_path / "opt.csv"
+        code, _, _ = run(capsys, ["optimize", *CH, "--K", "1", "--out", str(path)])
+        assert code == 0
+        row = path.read_text().splitlines()[1].split(",")
+        assert all(math.isfinite(float(v)) for v in row[:-1]) and row[-1] == "exact"
 
     def test_never_beats_capacity(self, capsys):
         _, cap_out, _ = run(capsys, ["capacity", *CH])
@@ -389,6 +408,20 @@ class TestReplay:
         assert fields["s"] == row[4]
         assert fields["t"] == row[5]
         assert fields["success"] == row[6]
+
+    @pytest.mark.parametrize("fmt", ["csv", "json"])
+    def test_replay_writes_the_simulate_table(self, capsys, tmp_path, fmt):
+        dump, sim_out, replay_out = tmp_path / "d.bin", tmp_path / "a", tmp_path / "b"
+        scheme = [*CH, *SCHEME, "--rout", "0.8", "--rho", "0.3", "--format", fmt]
+        code, _, _ = run(capsys, ["simulate", *scheme, "--M", "256", "--trials", "1",
+                                  "--seed", "5", "--dump", str(dump), "--out", str(sim_out)])
+        assert code == 0
+        code, out, _ = run(capsys, ["replay", "--in", str(dump), *scheme,
+                                    "--out", str(replay_out)])
+        assert code == 0
+        assert replay_out.read_bytes() == sim_out.read_bytes()
+        assert [l.split(" = ")[0] for l in out.splitlines()] == [
+            "M_C", "M_Ix", "M_In", "s", "t", "success"]
 
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_dump_draws_the_trial_once_and_keeps_the_table(

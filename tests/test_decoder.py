@@ -59,6 +59,21 @@ class TestClusteringConfig:
         with pytest.raises(ValueError):
             ClusteringConfig().resolve(0.5)  # 2p + 0.05 = 1.05
 
+    @pytest.mark.parametrize("rho", [5.0, 1.5, 0.0, -0.2, math.nan])
+    def test_clustering_shares_the_range_of_resolve(self, rho):
+        out = make_output([[0] * 8, [1] * 8], [0, 0], pool_size=1)
+        message = re.escape(f"rho out of range: must be in (0, 1], got {rho!r}")
+        with pytest.raises(ValueError, match=message):
+            greedy_cluster(out, ClusteringConfig(rho=rho))
+        with pytest.raises(ValueError, match=message):
+            ClusteringConfig(rho=rho).resolve(0.1)
+
+    def test_whole_strand_diameter(self):
+        # rho = 1 is the only one-bit diameter at L = 1
+        out = make_output([[0], [1], [0]], [0, 1, 0], pool_size=2)
+        assert ClusteringConfig(rho=1.0).resolve(0.1) == 1.0
+        assert greedy_cluster(out, ClusteringConfig(rho=1.0)) == [Cluster((0, 1, 2))]
+
     def test_unresolved_config_rejected(self):
         out = make_output([[0] * 8], [0], pool_size=1)
         with pytest.raises(ValueError):
@@ -136,6 +151,18 @@ class TestCountWrongClusters:
         with pytest.raises(ValueError):
             count_wrong_clusters([Cluster((0, 1))], out)
 
+    @pytest.mark.parametrize("clusters", [
+        [Cluster((0, 0, 0, 0))],
+        [Cluster((0,)), Cluster((0,)), Cluster((0,)), Cluster((0,))],
+        [Cluster((0, 1)), Cluster((1, 2))],
+        [Cluster((0, 1)), Cluster((2, 4))],
+        [Cluster((0, 1)), Cluster((2, -1))],
+    ], ids=["one read N times", "N singletons of one read", "a read twice", "past N",
+            "negative"])
+    def test_clusters_must_partition_the_reads(self, clusters):
+        with pytest.raises(ValueError, match="expected 4.*partition"):
+            count_wrong_clusters(clusters, self._four_reads())
+
 
 class TestOracleIndexDecode:
     def _output(self):
@@ -200,6 +227,23 @@ class TestOracleInnerDecode:
         # no threshold erasures, one wrong cluster touches up to two blocks
         assert res.erasures == 2 * min(2, 2)  # 2K symbols
         assert res.errors == 4
+
+    @pytest.mark.parametrize("draws", [[-1, 5, 0, 0], [2.7, 2.2, 0, 0], [], [[1, 1], [1, 1]]],
+                             ids=["negative", "fractional", "empty", "matrix"])
+    def test_draws_checked(self, draws):
+        # gtab[-1] would read the largest count and a float would be floored
+        scheme = SchemeParams(K=2, r_ix=0.5304, r_in=0.3, r_out=0.5)
+        message = re.escape(
+            f"draws out of range: must be a nonempty vector of nonnegative integers, got {draws!r}"
+        )
+        with pytest.raises(ValueError, match=message):
+            oracle_inner_decode(draws, PARAMS, scheme)
+
+    def test_tiling_checked(self):
+        scheme = SchemeParams(K=3, r_ix=0.5304, r_in=0.3, r_out=0.5)
+        message = re.escape("K (3) must divide the number of strands M (4)")
+        with pytest.raises(ValueError, match=message):
+            oracle_inner_decode([1, 1, 1, 1], PARAMS, scheme)
 
     def test_clamped_at_codeword_length(self):
         scheme = SchemeParams(K=2, r_ix=0.5304, r_in=0.3, r_out=0.5)

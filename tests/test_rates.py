@@ -12,6 +12,7 @@ import pytest
 from dnarate import (
     ChannelParams,
     EnumerationCapError,
+    InstanceDims,
     SchemeParams,
     achievable_outer_rate_exact,
     achievable_outer_rate_mc,
@@ -512,6 +513,32 @@ class TestOverallRate:
         with pytest.raises(ValueError):
             overall_rate(0.5, 0.5, 0.04, 0.05)
 
+    @pytest.mark.parametrize("r_in", [-0.5, 0.0, 1.0, 1.5, math.nan])
+    def test_inner_rate_range_of_scheme_params(self, r_in):
+        message = re.escape(f"r_in out of range: must be in (0, 1), got {r_in!r}")
+        with pytest.raises(ValueError, match=message):
+            overall_rate(r_in, 1.0, 0.5304, 0.05)
+        with pytest.raises(ValueError, match=message):
+            SchemeParams(K=1, r_ix=0.5304, r_in=r_in, r_out=1.0)
+
+    @pytest.mark.parametrize("r_out", [-0.1, 7.0, math.nan])
+    def test_achieved_outer_rate_range(self, r_out):
+        with pytest.raises(ValueError, match=re.escape(f"must be in [0, 1], got {r_out!r}")):
+            overall_rate(0.5, r_out, 0.5304, 0.05)
+
+    def test_achieved_outer_rate_ends_allowed(self):
+        assert overall_rate(0.5, 1.0, 0.5, 0.05) == 0.5 * 0.9
+
+    def test_one_overhead_message(self):
+        # overall_rate, asymptotic_rate and payload_length share one rule
+        message = re.escape("beta (0.05) must be below r_ix (0.04)")
+        with pytest.raises(ValueError, match=message):
+            overall_rate(0.5, 0.5, 0.04, 0.05)
+        with pytest.raises(ValueError, match=message):
+            asymptotic_rate(params_for(1), 0.04)
+        with pytest.raises(ValueError, match=message):
+            InstanceDims.from_channel(params_for(1), 64).payload_length(0.05, 0.04)
+
 
 class TestAsymptoticRate:
     def test_low_reading_rate(self):
@@ -756,7 +783,7 @@ class TestOptimizeScheme:
         # at p = 0 a block's value can be exactly 1; r_in must stay below it
         res = optimize_scheme(ChannelParams(3, 0.05, 0.0), 4)
         assert 0.0 < res.scheme.r_in < 1.0
-        assert res.scheme.r_in == np.nextafter(1.0, 0.0)
+        assert res.scheme.r_in == 1.0 - rates._R_IN_MARGIN
         assert SchemeParams(*dataclasses.astuple(res.scheme)) == res.scheme
 
     @pytest.mark.parametrize("method", ["exact", "mc", "auto"])
@@ -772,8 +799,34 @@ class TestOptimizeScheme:
 
     @pytest.mark.parametrize("samples", [0, -5, 1000.0, True])
     def test_mc_sample_budget_checked(self, samples):
-        with pytest.raises(ValueError, match=count_error("samples", samples)):
-            optimize_scheme(params_for(2), 100, samples=samples, method="mc")
+        # under every method, although only Monte-Carlo spends the budget
+        for method, K in (("mc", 100), ("exact", 3), ("auto", 3)):
+            with pytest.raises(ValueError, match=count_error("samples", samples)):
+                optimize_scheme(params_for(2), K, samples=samples, method=method)
+
+    @pytest.mark.parametrize("c, K", [(5, 4), (3, 6), (2, 4), (1, 8)])
+    def test_block_value_rules_agree_at_reported_inner_rate(self, c, K):
+        # The exact types, written as histograms, win or lose alike under the
+        # sorted-type sum and the histogram einsum at the optimiser's r_in.
+        params = params_for(c)
+        s = optimize_scheme(params, K, method="exact").scheme
+        types, _, _, d_max = rates._exact_support(params, K, 1e-12)
+        hist = np.zeros((len(types), d_max + 1), dtype=np.int64)
+        for col in types.T.astype(np.intp):
+            hist[np.arange(len(types)), col] += 1
+        hist[:, 0] += K - types.shape[1]
+        gtab = rates.gated_capacity_table(params.p, d_max, s.r_ix)
+        by_type = rates._type_means(gtab, types, K) > s.r_in
+        by_hist = rates._hist_means(hist, gtab, K) > s.r_in
+        assert np.array_equal(by_type, by_hist)
+
+    def test_exact_and_mc_outer_rate_agree_at_optimised_scheme(self):
+        # one float below the block value, the histogram rule lost 2.9e-3 of
+        # mass here and the MC estimate fell 11 standard errors short
+        params = params_for(5)
+        res = optimize_scheme(params, 4, method="exact")
+        mc = achievable_outer_rate_mc(params, res.scheme, 2**20, seed=7, threads=2)
+        assert abs(mc.value - res.rate.value) < 5 * mc.stderr
 
     @pytest.mark.parametrize("method", ["mc", "exact", "auto"])
     @pytest.mark.parametrize("threads", [0, -3, 1.5, True])
