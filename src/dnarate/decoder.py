@@ -18,7 +18,7 @@ import numpy as np
 from .channel import InstanceDims, random_pool, simulate_channel
 from .multidraw import (_check_block_size, _check_count, _check_draw_vector, _check_unit,
                         gated_capacity_table)
-from .rates import validate_scheme
+from .rates import _type_means, validate_scheme
 from .seeding import _check_threads, _map_chunks, derive_seed
 
 __all__ = [
@@ -271,7 +271,8 @@ def _greedy_labels(rows, t, span):
 
 def _clean_strands(clusters, output):
     """Per cluster, the strand whose full read set it is, or -1 if it is not
-    clean (mixed origins, some of its strand's reads missing, or empty)."""
+    clean (mixed origins, some of its strand's reads missing, or empty).
+    Every member must be a read index in [0, N)."""
     sizes = np.fromiter((c.size for c in clusters), dtype=np.int64, count=len(clusters))
     strands = np.full(sizes.size, -1, dtype=np.int64)
     filled = np.flatnonzero(sizes)
@@ -281,6 +282,9 @@ def _clean_strands(clusters, output):
             dtype=np.int64,
             count=int(sizes.sum()),
         )
+        if members.min() < 0 or members.max() >= output.N:
+            raise ValueError(f"cluster members must be read indices in [0, {output.N}), "
+                             f"got {members.min()} .. {members.max()}")
         origins = output.origins[members]
         starts = (np.cumsum(sizes) - sizes)[filled]
         lo = np.minimum.reduceat(origins, starts)
@@ -341,8 +345,7 @@ def oracle_inner_decode(draws, params, scheme, m_wrong_clusters=0, m_wrong_index
     K = _check_block_size(scheme.K, draws.size)
     blocks = draws.size // K
     gtab = gated_capacity_table(params.p, int(draws.max()), scheme.r_ix)
-    block_caps = gtab[draws.reshape(blocks, K)].mean(axis=1)
-    decoded = block_caps > scheme.r_in
+    decoded = _type_means(gtab, draws.reshape(blocks, K), K) > scheme.r_in
     n_erased = int(blocks - decoded.sum())
     corrupt = 2 * (int(m_wrong_clusters) + int(m_wrong_index))
     m_wrong_inner = 0

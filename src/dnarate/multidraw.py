@@ -253,15 +253,32 @@ def _capacity_cached(d, p):
     return min(max(1.0 - float(loss) / math.log(2.0), 0.0), 1.0)
 
 
+# Per p, the lowest level d whose C_d has come out exactly 1.0. C_d never
+# decreases and is at most 1, so every level past it is 1.0 as well. Threads
+# that race on an entry can only leave a higher level that is also 1.0.
+_SATURATED = {}
+
+
+def _capacity(d, p):
+    """C_d, computed only below p's known saturation level."""
+    if d >= _SATURATED.get(p, math.inf):
+        return 1.0
+    level = _capacity_cached(d, p)
+    if level == 1.0:
+        _SATURATED[p] = min(d, _SATURATED.get(p, d))
+    return level
+
+
 def multi_draw_capacity(d, p):
     """Capacity in bits of the d-fold observation channel.
 
     The channel maps one input bit to d outputs, each an independent BSC(p)
     observation of the bit. d = 0 carries nothing; for p = 0 a single draw
-    already suffices, so the capacity is 1 for every d >= 1.
+    already suffices, so the capacity is 1 for every d >= 1. Past the first
+    level seen to round to 1.0 nothing is computed.
     """
     d = _check_count(d, "d")
-    return _capacity_cached(d, check_crossover(p))
+    return _capacity(d, check_crossover(p))
 
 
 def gated_capacity(d, p, r_ix):
@@ -273,10 +290,16 @@ def gated_capacity(d, p, r_ix):
 
 
 def capacity_table(p, d_max):
-    """Array of multi-draw capacities for d = 0 .. d_max."""
+    """Array of multi-draw capacities for d = 0 .. d_max. Levels are computed
+    up to the first that rounds to 1.0, and the rest are 1.0."""
     p = check_crossover(p)
     d_max = _check_count(d_max, "d_max")
-    return np.array([_capacity_cached(d, p) for d in range(d_max + 1)])
+    tab = np.ones(d_max + 1)
+    for d in range(d_max + 1):
+        tab[d] = _capacity(d, p)
+        if tab[d] == 1.0:
+            break
+    return tab
 
 
 def gated_capacity_table(p, d_max, r_ix):

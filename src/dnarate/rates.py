@@ -70,8 +70,6 @@ _TABLE_TAIL = 1e-16
 _HIST_CELLS = 1 << 22
 # Hard ceiling on exact enumeration, in type-table cells (types x stored columns).
 ENUM_CAP = 10**8
-# Relative gap kept between an optimised inner rate and its block value.
-_R_IN_MARGIN = 1e-12
 # "auto" method switches to Monte-Carlo above this many type-table cells;
 # the full ENUM_CAP is only honoured when exact evaluation is requested.
 AUTO_EXACT_CELLS = 4_000_000
@@ -222,12 +220,12 @@ def block_capacity(d, p, r_ix):
     """Mean index-gated capacity across the strands of one inner block.
 
     The block sees its K strands through independent observation channels
-    with draw counts d; the sum is exactly rounded, so permuting d leaves
-    the mean unchanged.
+    with draw counts d; summed on _block_grid, the mean is the same bits in
+    every order, in the estimators and in the decoder.
     """
     d = _check_draw_vector(d)
     gtab = gated_capacity_table(p, int(d.max()), r_ix)
-    return math.fsum(gtab[d]) / d.size
+    return float(_type_means(gtab, d[None], d.size)[0])
 
 
 def mean_gated_capacity(params, r_ix, tail_eps=1e-12):
@@ -333,12 +331,20 @@ def _row_blocks(types):
     return [slice(r, r + step) for r in range(0, len(types), step)]
 
 
-def _type_means(table, types, K):
-    """Row sums of table[types] / K, gathered one row block at a time. With
-    table = gtab these are the gated block capacities: implied zeros add gtab[0] = 0."""
+def _block_grid(gtab, K):
+    """gtab floored to multiples of 2^-s, s = 53 - ceil(log2 K), each entry by
+    less than 2^-s. A sum of K such entries, at most K <= 2^(53-s), is exact."""
+    s = 53 - int(K - 1).bit_length()
+    return np.ldexp(np.floor(np.ldexp(gtab, s)), -s)
+
+
+def _type_means(gtab, types, K):
+    """Gated block capacities of the rows of draw counts `types`, summed on
+    _block_grid one row block at a time. Implied zeros add gtab[0] = 0."""
+    grid = _block_grid(gtab, K)
     means = np.empty(len(types))
     for b in _row_blocks(types):
-        means[b] = table[types[b]].sum(axis=1) / K
+        means[b] = grid[types[b]].sum(axis=1) / K
     return means
 
 
@@ -359,12 +365,12 @@ def _type_batches(seed, chunk_index, n, K, pmf):
 def _hist_means(h, gtab, K):
     """Gated block capacity of each sampled histogram row.
 
-    einsum without `optimize` sums each row on its own in a fixed order, so a
-    row's value does not depend on its dtype (int64 batches or the optimiser's
-    uint16 matrix) or on the rows around it, and no BLAS call starts its own
-    thread pool under the MC worker threads.
+    On _block_grid every product and sum is exact, so a row's value is the
+    bits _type_means gives its draw counts, whatever its dtype or the rows
+    around it. einsum without `optimize` makes no BLAS call that starts its
+    own thread pool under the MC worker threads.
     """
-    return np.einsum("ij,j->i", h, gtab) / K
+    return np.einsum("ij,j->i", h, _block_grid(gtab, K)) / K
 
 
 def _chunk_sizes(samples):
@@ -555,18 +561,14 @@ def _best_inner_rate(values, weights, total):
     W(V > r) is a step function falling at each block value v, so the
     supremum is the largest v * W(V >= v), approached from just below v. Of
     equal values the first in sorted order has the largest tail. The
-    reported inner rate is v less a relative _R_IN_MARGIN, with the weight of
-    the values above it: the package sums a block's K capacities in several
-    orders (sorted types, histograms, strand order, fsum), whose results
-    spread by up to about 2K ulps, so a rate one float below v would erase
-    the blocks of value v that another order rounds down.
+    reported inner rate is the float just below v: every path computes a
+    block's value in the same bits, so the blocks of value v decode there.
     """
     order = np.argsort(values, kind="stable")
     v = values[order]
     tail = np.cumsum(weights[order][::-1])[::-1] / total
     j = int(np.argmax(v * tail))
-    r_in = float(v[j]) * (1.0 - _R_IN_MARGIN)
-    return r_in, float(tail[np.searchsorted(v, r_in, side="right")])
+    return float(np.nextafter(v[j], 0.0)), float(tail[j])
 
 
 def optimize_scheme(
@@ -585,14 +587,13 @@ def optimize_scheme(
     draw-count table. The outer rate R_out(r_in), the weight of blocks whose
     gated capacity exceeds r_in, is a step function, so for each candidate
     the supremum of r_in * R_out(r_in) is the largest v * W(V >= v) over
-    block values v; r_in is reported a relative 1e-12 below v, past the
-    rounding spread of a block's value, so that every estimator and the
-    decoder decode the blocks of value v. The supremum is at most the mean
-    E_W[V] (Markov), so a candidate whose mean cannot beat the best so far is
-    skipped; the result is the first maximum of a full scan. The table is
-    every draw-count type where _use_exact allows, else Monte-Carlo block
-    histograms with the given budget and seed, shared by all candidates; the
-    reported outer rate is what the matching estimator returns.
+    block values v; r_in is reported one float below v. The supremum is at
+    most the mean E_W[V] (Markov), so a candidate whose mean cannot beat the
+    best so far is skipped; the result is the first maximum of a full scan.
+    The table is every draw-count type where _use_exact allows, else
+    Monte-Carlo block histograms with the given budget and seed, shared by
+    all candidates; the reported outer rate is what the matching estimator
+    returns.
     """
     _check_count(K, "K", positive=True)
     _check_count(samples, "samples", positive=True)

@@ -115,6 +115,13 @@ class TestCapacity:
 class TestRate:
     ARGS = ["rate", *CH, "--K", "1", "--rix", "0.530473402", "--rin", "0.53"]
 
+    def test_readme_output(self, capsys):
+        code, out, _ = run(capsys, ["rate", *CH, "--K", "1", "--rix", "0.530473",
+                                    "--rin", "0.53"])
+        assert code == 0
+        assert out == ("R_out = 0.632121\nR = 0.303446\nstderr = 0.000000\n"
+                       "method = exact\ntruncation_mass = 0.000000\n")
+
     def test_exact_output(self, capsys):
         code, out, _ = run(capsys, [*self.ARGS, "--method", "exact"])
         assert code == 0
@@ -288,6 +295,14 @@ class TestCurve:
 
 
 class TestOptimize:
+    def test_readme_output(self, capsys):
+        code, out, _ = run(capsys, ["optimize", "--c", "10", "--beta", "0.05", "--p", "0.1",
+                                    "--K", "100"])
+        assert code == 0
+        assert out == ("d_candidate = 3\nR_ix = 0.861555\nR_in = 0.968007\n"
+                       "R_out = 0.995600\nR = 0.907817\nstderr = 0.000662\n"
+                       "method = monte_carlo\n")
+
     def test_json_record(self, capsys):
         import json
 

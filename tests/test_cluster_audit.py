@@ -147,6 +147,21 @@ def test_cover_checked():
         count_wrong_clusters([Cluster((0,))], origins_output([], pool_size=1))
 
 
+def test_negative_member_refused():
+    # Unchecked, a negative member wraps: with origins [0, 1, 1],
+    # Cluster((-2, -1)) would decode as strand 1's read set.
+    output = origins_output([0, 1, 1], pool_size=2)
+    with pytest.raises(ValueError, match=r"read indices in \[0, 3\), got -2 \.\. 0"):
+        oracle_index_decode([Cluster((0,)), Cluster((-2, -1))], output, PARAMS, R_IX)
+
+
+def test_member_past_the_reads_refused():
+    # Unchecked, a member equal to N raises an IndexError.
+    output = origins_output([0, 1, 1], pool_size=2)
+    with pytest.raises(ValueError, match=r"read indices in \[0, 3\), got 0 \.\. 3"):
+        oracle_index_decode([Cluster((0,)), Cluster((1, 2, 3))], output, PARAMS, R_IX)
+
+
 @pytest.mark.parametrize("seed", range(6))
 def test_random_cluster_lists_of_a_channel_output(seed):
     dims = InstanceDims.from_channel(PARAMS, 128)

@@ -1,17 +1,23 @@
 import math
+import time
 import warnings
 
 import numpy as np
 import pytest
 
 from dnarate import (
+    ChannelParams,
+    SchemeParams,
+    achievable_outer_rate_exact,
     binary_entropy,
     binom_pmf,
     capacity_table,
+    channel_capacity,
     check_crossover,
     gated_capacity,
     gated_capacity_table,
     multi_draw_capacity,
+    multidraw,
     poisson_pmf,
     poisson_pmf_vec,
 )
@@ -174,6 +180,37 @@ class TestMultiDrawCapacity:
     def test_rejects_negative_d(self):
         with pytest.raises(ValueError):
             multi_draw_capacity(-1, 0.1)
+
+
+class TestSaturation:
+    # A table stops computing at the first level that rounds to 1.0 and fills
+    # the rest; these p saturate at d = 13 / 23 / 71 / 250 / 1757.
+    @pytest.fixture(autouse=True)
+    def cold(self, monkeypatch):
+        monkeypatch.setattr(multidraw, "_SATURATED", {})
+        multidraw._capacity_cached.cache_clear()
+
+    @pytest.mark.parametrize("p, d_max", [(0.001, 2000), (0.01, 2000), (0.1, 2000),
+                                          (0.25, 2000), (0.4, 3000)])
+    def test_tables_bit_identical_to_every_level_computed(self, p, d_max):
+        levels = np.array([multidraw._capacity_cached.__wrapped__(d, p)
+                           for d in range(d_max + 1)])
+        saturated = int(np.argmax(levels == 1.0))
+        assert 0 < saturated < d_max
+        assert np.array_equal(capacity_table(p, d_max).view(np.uint64), levels.view(np.uint64))
+        assert multidraw._SATURATED[p] == saturated
+        for d in (saturated - 1, saturated, d_max, 10**6):
+            assert multi_draw_capacity(d, p) == (levels[d] if d <= d_max else 1.0)
+
+    def test_large_reading_rates_stop_at_saturation(self):
+        start = time.perf_counter()
+        assert channel_capacity(ChannelParams(1e4, 0.05, 0.1)) == 0.9499999999990016
+        assert time.perf_counter() - start < 1.0
+        start = time.perf_counter()
+        scheme = SchemeParams(K=1, r_ix=0.5, r_in=0.5, r_out=1.0)
+        est = achievable_outer_rate_exact(ChannelParams(1e5, 0.05, 0.1), scheme)
+        assert time.perf_counter() - start < 1.0
+        assert abs(est.value - 1.0) <= est.truncation_mass + 1e-15
 
 
 class TestDeepUnderflow:
