@@ -811,6 +811,24 @@ class TestOptimizeScheme:
             with pytest.raises(ValueError, match=count_error("samples", samples)):
                 optimize_scheme(params_for(2), K, samples=samples, method=method)
 
+    @pytest.mark.parametrize("c, K", [(5, 4), (3, 6), (2, 4), (1, 8)])
+    def test_block_value_rules_agree_at_reported_inner_rate(self, c, K):
+        # The exact types, written as histograms, win or lose alike under the
+        # sorted-type sum and the histogram einsum at the optimiser's r_in,
+        # which sits one float below a block value.
+        params = params_for(c)
+        s = optimize_scheme(params, K, method="exact").scheme
+        types, _, _, d_max = rates._exact_support(params, K, 1e-12)
+        hist = np.zeros((len(types), d_max + 1), dtype=np.int64)
+        for col in types.T.astype(np.intp):
+            hist[np.arange(len(types)), col] += 1
+        hist[:, 0] += K - types.shape[1]
+        gtab = rates.gated_capacity_table(params.p, d_max, s.r_ix)
+        by_type = rates._type_means(gtab, types, K)
+        by_hist = rates._hist_means(hist, gtab, K)
+        assert np.array_equal(bits(by_type), bits(by_hist))
+        assert np.array_equal(by_type > s.r_in, by_hist > s.r_in)
+
     def test_exact_and_mc_outer_rate_agree_at_optimised_scheme(self):
         # one float below the block value, the histogram rule lost 2.9e-3 of
         # mass here and the MC estimate fell 11 standard errors short
