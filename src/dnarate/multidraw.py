@@ -238,12 +238,25 @@ def binary_entropy(x):
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
+def _saturation(p):
+    """S(p), the first d with Z^d / ln 2 < 2^-54, Z = 2 sqrt(pq): 1 at p = 0,
+    inf at p = 1/2. As 1 - C_d <= log2(1 + Z^d) (Arikan, "Channel
+    Polarization", 2009, Prop. 1) and 2^-54 is half an ulp below 1.0, every
+    level from S(p) on is 1.0. Above p = 1/4, log Z^2 = log1p(-(1 - 2p)^2)
+    with 1 - 2p exact keeps S(p) finite and accurate up to p = 1/2."""
+    if p == 0.0:
+        return 1
+    t = 1.0 - 2.0 * p
+    log_z2 = math.log1p(-t * t) if p > 0.25 else math.log(4.0 * p * (1.0 - p))
+    return math.floor(2.0 * math.log(2.0**-54 * math.log(2.0)) / log_z2) + 1 if log_z2 else math.inf
+
+
 @lru_cache(maxsize=None)
 def _capacity_cached(d, p):
     """C_d = 1 + sum_i b_i log2(b_i / (b_i + b_(d-i))), b the Binomial(d, p)
     masses. b_(d-i)/b_i = (p/q)^(d-2i), so each log is the closed form
     -log(1 + (p/q)^(d-2i)), a softplus that never sees 0/0."""
-    if d == 0:
+    if d == 0 or p == 0.5:
         return 0.0
     if p == 0.0:
         return 1.0
@@ -253,32 +266,22 @@ def _capacity_cached(d, p):
     return min(max(1.0 - float(loss) / math.log(2.0), 0.0), 1.0)
 
 
-# Per p, the lowest level d whose C_d has come out exactly 1.0. C_d never
-# decreases and is at most 1, so every level past it is 1.0 as well. Threads
-# that race on an entry can only leave a higher level that is also 1.0.
-_SATURATED = {}
-
-
-def _capacity(d, p):
-    """C_d, computed only below p's known saturation level."""
-    if d >= _SATURATED.get(p, math.inf):
-        return 1.0
-    level = _capacity_cached(d, p)
-    if level == 1.0:
-        _SATURATED[p] = min(d, _SATURATED.get(p, d))
-    return level
+def _clip_draws(d, p):
+    """Draw counts d clipped at S(p), past which every level is 1.0, and their maximum."""
+    top = min(int(d.max()), _saturation(p))
+    return np.minimum(d, top), top
 
 
 def multi_draw_capacity(d, p):
     """Capacity in bits of the d-fold observation channel.
 
     The channel maps one input bit to d outputs, each an independent BSC(p)
-    observation of the bit. d = 0 carries nothing; for p = 0 a single draw
-    already suffices, so the capacity is 1 for every d >= 1. Past the first
-    level seen to round to 1.0 nothing is computed.
+    observation of the bit. d = 0 carries nothing, nor does p = 1/2. From
+    d = S(p) on (S(0) = 1) it is 1.0, returned without computing.
     """
     d = _check_count(d, "d")
-    return _capacity(d, check_crossover(p))
+    p = check_crossover(p)
+    return 1.0 if d >= _saturation(p) else _capacity_cached(d, p)
 
 
 def gated_capacity(d, p, r_ix):
@@ -290,15 +293,13 @@ def gated_capacity(d, p, r_ix):
 
 
 def capacity_table(p, d_max):
-    """Array of multi-draw capacities for d = 0 .. d_max. Levels are computed
-    up to the first that rounds to 1.0, and the rest are 1.0."""
+    """Array of multi-draw capacities for d = 0 .. d_max. Levels below
+    S(p) = _saturation(p) are computed, and the rest are 1.0."""
     p = check_crossover(p)
     d_max = _check_count(d_max, "d_max")
     tab = np.ones(d_max + 1)
-    for d in range(d_max + 1):
-        tab[d] = _capacity(d, p)
-        if tab[d] == 1.0:
-            break
+    n = min(d_max + 1, _saturation(p))
+    tab[:n] = [_capacity_cached(d, p) for d in range(n)]
     return tab
 
 

@@ -27,6 +27,7 @@ from .multidraw import (  # noqa: F401
     _check_index_overhead,
     _check_reading_rate,
     _check_unit,
+    _clip_draws,
     _gate,
     _log_poisson_pmf,
     binary_entropy,
@@ -223,8 +224,8 @@ def block_capacity(d, p, r_ix):
     with draw counts d; summed on _block_grid, the mean is the same bits in
     every order, in the estimators and in the decoder.
     """
-    d = _check_draw_vector(d)
-    gtab = gated_capacity_table(p, int(d.max()), r_ix)
+    d, top = _clip_draws(_check_draw_vector(d), check_crossover(p))
+    gtab = gated_capacity_table(p, top, r_ix)
     return float(_type_means(gtab, d[None], d.size)[0])
 
 

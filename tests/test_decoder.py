@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -27,6 +28,7 @@ from dnarate import (
     simulate_channel,
 )
 from dnarate import decoder as decoder_module
+from dnarate import multidraw
 from dnarate.channel import ChannelOutput, pack_bits
 
 C1 = multi_draw_capacity(1, 0.1)
@@ -251,6 +253,24 @@ class TestOracleInnerDecode:
             np.zeros(4, dtype=int), PARAMS, scheme, m_wrong_clusters=50, m_wrong_index=50
         )
         assert res.erasures == 4 and res.errors == 4
+
+    @pytest.mark.parametrize("p", [0.1, 0.4])
+    def test_counts_past_saturation_in_bounded_memory(self, p):
+        # every level from S(p) on is 1.0, so a count of 2^40 decides as a
+        # count of S(p) does, and no table runs past it
+        params = ChannelParams(c=2, beta=0.05, p=p)
+        scheme = SchemeParams(K=2, r_ix=0.5, r_in=0.6, r_out=0.5)
+        s = multidraw._saturation(p)
+        tracemalloc.start()
+        try:
+            res = oracle_inner_decode(np.array([2**40, 0, 2**40, 1]), params, scheme)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ref = oracle_inner_decode(np.array([s, 0, s, 1]), params, scheme)
+        assert np.array_equal(res.decoded, ref.decoded) and res.erasures == ref.erasures
+        assert res.decoded.tolist() == [False, p == 0.1]  # C_1 clears r_ix only at p = 0.1
+        assert peak < 4e6
 
 
 class TestOuterSuccess:

@@ -160,7 +160,7 @@ class TestMultiDrawCapacity:
         # the value used throughout for index rates just below one draw's capacity
         assert 0.999 * multi_draw_capacity(1, 0.1) == pytest.approx(0.5304, abs=1e-4)
 
-    @pytest.mark.parametrize("p", [0.01, 0.05, 0.1, 0.25, 0.4, 0.49])
+    @pytest.mark.parametrize("p", [0.01, 0.05, 0.1, 0.25, 0.4, 0.49, 0.5])
     def test_monotone_in_draws(self, p):
         tab = capacity_table(p, 64)
         assert (np.diff(tab) >= 0).all()
@@ -171,7 +171,7 @@ class TestMultiDrawCapacity:
 
     def test_useless_boundary(self):
         for d in range(0, 20):
-            assert multi_draw_capacity(d, 0.5) == pytest.approx(0.0, abs=1e-12)
+            assert multi_draw_capacity(d, 0.5) == 0.0
 
     def test_range(self):
         tab = capacity_table(0.1, 200)
@@ -183,24 +183,52 @@ class TestMultiDrawCapacity:
 
 
 class TestSaturation:
-    # A table stops computing at the first level that rounds to 1.0 and fills
-    # the rest; these p saturate at d = 13 / 23 / 71 / 250 / 1757.
+    # Levels from S(p) = multidraw._saturation(p) on are 1.0 by the
+    # Bhattacharyya bound and are never computed.
     @pytest.fixture(autouse=True)
-    def cold(self, monkeypatch):
-        monkeypatch.setattr(multidraw, "_SATURATED", {})
+    def cold(self):
         multidraw._capacity_cached.cache_clear()
 
+    def test_saturation_levels(self):
+        ps = (0.0, 0.001, 0.01, 0.1, 0.1234, 0.25, 0.4, 0.45, 0.49, 0.5)
+        assert [multidraw._saturation(p) for p in ps] == [
+            1, 14, 24, 74, 91, 263, 1852, 7522, 188945, math.inf]
+
+    @pytest.mark.parametrize("k", [20, 26, 30, 40, 53])
+    def test_saturation_accurate_near_one_half(self, k):
+        # 4pq = 1 - (1 - 2p)^2 rounds to 1 from k = 27 on, yet S(p) is finite:
+        # about 2 ln(2^54 / ln 2) / (1 - 2p)^2
+        t = 2.0**-k  # 1 - 2p
+        expected = 2.0 * math.log(2.0**54 / math.log(2.0)) / t**2
+        assert multidraw._saturation(0.5 - t / 2) == pytest.approx(expected, rel=1e-9)
+
     @pytest.mark.parametrize("p, d_max", [(0.001, 2000), (0.01, 2000), (0.1, 2000),
-                                          (0.25, 2000), (0.4, 3000)])
+                                          (0.25, 2000), (0.4, 3000), (0.45, 3000)])
     def test_tables_bit_identical_to_every_level_computed(self, p, d_max):
         levels = np.array([multidraw._capacity_cached.__wrapped__(d, p)
                            for d in range(d_max + 1)])
-        saturated = int(np.argmax(levels == 1.0))
-        assert 0 < saturated < d_max
         assert np.array_equal(capacity_table(p, d_max).view(np.uint64), levels.view(np.uint64))
-        assert multidraw._SATURATED[p] == saturated
-        for d in (saturated - 1, saturated, d_max, 10**6):
-            assert multi_draw_capacity(d, p) == (levels[d] if d <= d_max else 1.0)
+        for d in (1, d_max // 2, d_max):
+            assert multi_draw_capacity(d, p) == levels[d]
+
+    @pytest.mark.parametrize("p", [0.001, 0.01, 0.1, 0.25, 0.4])
+    def test_every_level_is_one_from_the_first_computed_one(self, p):
+        # the bound leaves a margin: the first exact 1.0 is 13 / 23 / 71 / 250 / 1757
+        s = multidraw._saturation(p)
+        levels = [multidraw._capacity_cached.__wrapped__(d, p)
+                  for d in range(min(3 * s, 6000) + 1)]
+        first = levels.index(1.0)
+        assert first <= s
+        assert all(level == 1.0 for level in levels[first:])
+
+    @pytest.mark.parametrize("p", [0.1, 0.4])
+    @pytest.mark.parametrize("d", [10**18, 2**62])
+    def test_cold_calls_past_saturation_compute_nothing(self, d, p):
+        start = time.perf_counter()
+        assert multi_draw_capacity(d, p) == 1.0
+        assert gated_capacity(d, p, 0.5) == 1.0
+        assert time.perf_counter() - start < 1e-3
+        assert multidraw._capacity_cached.cache_info().currsize == 0
 
     def test_large_reading_rates_stop_at_saturation(self):
         start = time.perf_counter()
@@ -216,10 +244,12 @@ class TestSaturation:
 class TestDeepUnderflow:
     @pytest.mark.parametrize("d", [2000, 4000])
     def test_no_runtime_warning(self, d):
-        # both tails of the binomial underflow here; no 0/0 may be evaluated
+        # both tails of the binomial underflow here; no 0/0 may be evaluated.
+        # multi_draw_capacity returns 1.0 from d = 91 on without computing, so
+        # the computation is called directly.
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            assert multi_draw_capacity(d, 0.1234) == 1.0
+            assert multidraw._capacity_cached.__wrapped__(d, 0.1234) == 1.0
 
 
 class TestGatedCapacity:

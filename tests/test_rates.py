@@ -22,6 +22,7 @@ from dnarate import (
     gap_to_capacity,
     mean_gated_capacity,
     multi_draw_capacity,
+    multidraw,
     optimize_scheme,
     overall_rate,
     r_max,
@@ -184,6 +185,19 @@ class TestBlockCapacity:
     def test_draw_counts_must_be_nonnegative_integers(self, d):
         with pytest.raises(ValueError, match="d out of range: must be a nonempty vector"):
             block_capacity(d, 0.1, RIX1)
+
+    @pytest.mark.parametrize("p", [0.1, 0.4])
+    def test_counts_past_saturation_in_bounded_memory(self, p):
+        # every level from S(p) on is 1.0, so a count of 2^40 reads the entry
+        # at S(p), and no table runs past it
+        tracemalloc.start()
+        try:
+            value = block_capacity((3, 2**40), p, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert value.hex() == block_capacity((3, multidraw._saturation(p)), p, 0.5).hex()
+        assert peak < 4e6
 
 
 class TestExactOuterRate:
