@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import pdtrc
 
 # multi_draw_capacity is not called here, but bench/tracer.py wraps this
 # module's binding of it along with the two table functions.
@@ -172,16 +171,44 @@ def _poisson_table(c, d_max):
     return log_pmf, np.fromiter(map(math.exp, log_pmf.tolist()), float, d_max + 1)
 
 
+# Bits of margin below the tail that _poisson_tail_cut's window leaves out.
+_WINDOW_BITS = 64
+
+
+@lru_cache(maxsize=1024)
+def _poisson_tail_cut(lam, tail):
+    """(d, P(X > d)) for X ~ Poisson(lam), d the smallest count whose tail is
+    below `tail`, the tail a reverse running sum of the saddle-point masses.
+
+    The sum runs over a window [lo, hi] around lam. By the Chernoff bound
+    P(X >= k) <= exp(-bd0(k, lam)) above lam, and its mirror below, each
+    side of it holds less than tail * 2^-64: its ends come from
+    bd0(lam + x, lam) >= x^2 / (2 (lam + x/3)) and
+    bd0(lam - x, lam) >= x^2 / (2 lam), so it spans
+    O(sqrt(lam log(1/tail))) counts. As P(X > lo - 1) >= 1 - tail * 2^-64
+    > tail, the cut lies in the window. The map is pure and every sweep
+    asks for the same cuts again, so it is memoised; an entry is two numbers.
+    """
+    t = _WINDOW_BITS * math.log(2.0) - math.log(tail)
+    lo = max(0, math.floor(lam - math.sqrt(2.0 * lam * t)))
+    hi = math.ceil(lam + t / 3.0 + math.sqrt(t * t / 9.0 + 2.0 * lam * t))
+    mass = np.exp(_log_poisson_pmf(float(lam), np.arange(lo, hi + 1)))
+    # above[i] = P(X > lo + i - 1); it never rises, as the masses are >= 0
+    above = np.append(np.cumsum(mass[::-1])[::-1], 0.0)
+    i = max(1, int(np.count_nonzero(above >= tail)))
+    return lo + i - 1, float(above[i])
+
+
 def _poisson_cut(lam, tail):
-    """Smallest d whose closed-form Poisson(lam) tail P(X > d) is below tail,
-    by bisection, as the tail falls with d."""
-    lo, hi = -1, max(1, int(lam))  # P(X > lo) >= tail > P(X > hi)
-    while pdtrc(hi, lam) >= tail:
-        lo, hi = hi, 2 * hi
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        lo, hi = (mid, hi) if pdtrc(mid, lam) >= tail else (lo, mid)
-    return hi
+    """Smallest d whose Poisson(lam) tail P(X > d) is below tail."""
+    return _poisson_tail_cut(lam, tail)[0]
+
+
+def _cut_floor(lam, tail):
+    """A lower bound on _poisson_cut(lam, tail) that builds no window: as
+    P(X <= lam - x) <= exp(-x^2 / 2 lam), the cut lies above
+    lam - sqrt(2 lam (-log(1 - tail)))."""
+    return max(0, math.floor(lam - math.sqrt(2.0 * lam * -math.log1p(-tail))))
 
 
 def _sampling_masses(c):
@@ -260,10 +287,23 @@ def _type_count(d_max, K, cap):
     return int(counts[-1])
 
 
+@lru_cache(maxsize=1024)
 def _fits(d_max, K, cap):
-    """Whether the type table below d_max holds at most cap cells."""
+    """Whether the type table below d_max holds at most cap cells. Memoised:
+    every estimate asks it twice, at the cut and at its lower bound."""
     cols = min(K, d_max)
     return cols == 0 or _type_count(d_max, K, cap // cols) <= cap // cols
+
+
+def _block_cut(params, K, tail_eps, cap):
+    """(d_max, P(X > d_max)) of a block's Poisson(K * c) total X, or None
+    when the type table below d_max would pass cap cells. A K * c far past
+    the cap is refused by _cut_floor before any window is built."""
+    lam = K * params.c
+    if not _fits(_cut_floor(lam, tail_eps), K, cap):
+        return None
+    cut = _poisson_tail_cut(lam, tail_eps)
+    return cut if _fits(cut[0], K, cap) else None
 
 
 def _use_exact(params, K, method, tail_eps):
@@ -272,25 +312,26 @@ def _use_exact(params, K, method, tail_eps):
     if method not in ("auto", "exact", "mc"):
         raise ValueError(f"method must be auto, exact or mc, got {method!r}")
     return method == "exact" or (
-        method == "auto" and _fits(_poisson_cut(K * params.c, tail_eps), K, AUTO_EXACT_CELLS)
+        method == "auto" and _block_cut(params, K, tail_eps, AUTO_EXACT_CELLS) is not None
     )
 
 
 def _exact_support(params, K, tail_eps):
     """Draw-count types below the tail cut d_max of a block's Poisson(K * c)
-    total, their probabilities, the closed-form tail mass beyond d_max, d_max.
+    total, their probabilities, the tail mass beyond d_max, d_max.
 
     Types are the nondecreasing K-tuples with component sum <= d_max, one
     per histogram; each weighs K! / prod(m_i!) times the product of its
     Poisson masses, m_i the repeats of each draw value. The table holds the
     last min(K, d_max) columns in the smallest unsigned dtype for d_max; the
     z leading zeros before them are implied."""
-    d_max = _poisson_cut(K * params.c, tail_eps)
-    if not _fits(d_max, K, ENUM_CAP):
+    cut = _block_cut(params, K, tail_eps, ENUM_CAP)
+    if cut is None:
         raise EnumerationCapError(
             f"exact enumeration needs more than {ENUM_CAP} type-table cells; "
             "use the Monte-Carlo estimator"
         )
+    d_max, truncation = cut
     cols, z = min(K, d_max), max(0, K - d_max)
     types = np.zeros((1, 0), dtype=np.min_scalar_type(d_max))
     # Parents per block: each has at most d_max + 1 children, so a block's new
@@ -323,7 +364,7 @@ def _exact_support(params, K, tail_eps):
             log_repeats += np.log(run)
             prev = col
         weights[b] = np.exp(log_coef - log_repeats + (log_pmf[t].sum(axis=1) + z * log_pmf[0]))
-    return types, weights, float(pdtrc(d_max, K * params.c)), d_max
+    return types, weights, truncation, d_max
 
 
 def _row_blocks(types):
@@ -543,8 +584,7 @@ def _sample_count_matrix(params, K, samples, seed, threads=1):
     """
     sizes = _chunk_sizes(samples)
     pmf = _sampling_masses(params.c)
-    dtype = np.uint16 if K < 65536 else np.uint32
-    counts = np.empty((samples, len(pmf)), dtype=dtype)
+    counts = np.empty((samples, len(pmf)), dtype=np.min_scalar_type(K))
 
     def fill(ci):
         row = ci * MC_CHUNK

@@ -322,8 +322,8 @@ class TestExactOuterRate:
         assert time.perf_counter() - start < 5.0
 
     def test_auto_refusal_builds_no_huge_table(self, monkeypatch):
-        # The cut at K = 10^6 comes from the closed-form tail, so no
-        # Poisson(2 * 10^6) table (about two million entries) is built.
+        # K = 10^6 is refused from the closed-form lower bound on the cut, so
+        # no Poisson(2 * 10^6) table (about two million entries) is built.
         table = rates._poisson_table
         built = []
 
@@ -337,6 +337,23 @@ class TestExactOuterRate:
         assert feasible is False
         assert time.perf_counter() - start < 0.5
         assert all(n <= 10**5 for n in built)
+
+    def test_refusal_at_huge_block_builds_no_window(self):
+        # At K * c = 2 * 10^12 a window around the mean would hold about
+        # 3 * 10^7 counts; the lower bound on the cut refuses first.
+        start = time.perf_counter()
+        assert rates._use_exact(ChannelParams(2, 0.05, 0.1), 10**12, "auto", 1e-12) is False
+        assert time.perf_counter() - start < 0.05
+        scheme = SchemeParams(K=10**12, r_ix=RIX1, r_in=0.5, r_out=1.0)
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError):
+            achievable_outer_rate_exact(params_for(2), scheme)
+        assert time.perf_counter() - start < 0.05
+
+    @pytest.mark.parametrize("tail_eps", [0.99, 0.5, 1e-3, 1e-12, 1e-20])
+    def test_cut_floor_is_a_lower_bound(self, tail_eps):
+        for lam in [1e-3, 0.7, 2, 33, 1000, 4321.5, 2e5]:
+            assert rates._cut_floor(lam, tail_eps) <= rates._poisson_cut(lam, tail_eps)
 
     @pytest.mark.parametrize("tail_eps", [0.5, 0.3, 0.1, 1e-3, 1e-6, 1e-12, 1e-15])
     def test_tail_cut_lower_bound(self, tail_eps):
@@ -464,6 +481,16 @@ class TestTypeSampler:
         wins = int((rates._hist_means(counts, gtab, K) > 0.47).sum())
         est = achievable_outer_rate_mc(params, scheme, samples, seed=seed)
         assert est.value == wins / samples
+
+    def test_count_matrix_holds_counts_past_32_bits(self):
+        # uint32 cells wrapped at K = 2^36: each row summed to 12,884,901,888
+        K = 2**36
+        counts = rates._sample_count_matrix(params_for(2), K, 50, 0)
+        assert np.all(counts.sum(axis=1) == K)
+        # and the optimiser's r_in sat near 0.150, far below the block mean
+        best = optimize_scheme(params_for(2), K, samples=50, method="mc")
+        mean = mean_gated_capacity(params_for(2), best.scheme.r_ix)
+        assert best.scheme.r_in == pytest.approx(mean, abs=1e-4)
 
 
 def bits(a):
