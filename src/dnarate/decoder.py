@@ -9,6 +9,7 @@ decoders stand in for capacity-achieving codes: they isolate the behaviour of
 the channel and the scheme thresholds without constructing codebooks.
 """
 
+import heapq
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -39,12 +40,15 @@ __all__ = [
     "DEFAULT_DISTANCE_BUDGET",
 ]
 
-# Pairwise-distance work cap for run_pipeline, in units of N^2 * L. The
-# blocked greedy pass runs on the U <= N distinct reads. Each is a seed at most
-# once, compared with the pending reads after its block's first seed: at most
-# U^2/2 + 32U distances. Each member is compared once with its seed's later
-# candidates: at most U^2/2 more. So N^2 distances of L bits still bound the
-# work.
+# Pairwise-distance work cap for run_pipeline, in units of N^2 * L. Clustering
+# runs on the U <= N distinct reads, with one of two pair sources (see
+# greedy_cluster). In the blocked scan, each read is a seed at most once,
+# compared with the pending reads after its block's first seed: at most
+# U^2/2 + 32U distances. In the pigeonhole index, each field collision costs
+# one distance, and the index is taken only while its collisions cost less
+# than the scan's U^2/2 distances. Each member is compared once with its
+# seed's later candidates: at most U^2/2 more. So N^2 distances of L bits
+# still bound the work.
 DEFAULT_DISTANCE_BUDGET = 1e11
 
 
@@ -139,6 +143,9 @@ class PipelineResult:
 
 # Seeds per blocked distance pass.
 _SEED_BLOCK = 64
+# Candidate lists up to this size are walked on Python integers; longer ones
+# take one numpy pass per member until they are this short.
+_LIST_WALK = 32
 
 
 def greedy_cluster(output, config):
@@ -159,6 +166,26 @@ def greedy_cluster(output, config):
     first copy of some distinct value, and the clusters of the distinct reads
     in first-occurrence order, each read taking its first copy's cluster, are
     the rule's clusters.
+
+    A seed's candidates are its near reads: the pending reads within
+    t = floor(rho*L) bits of it. Two exact sources list them, and one walk
+    turns them into clusters (see _walk).
+    - The pigeonhole index cuts the L bits into t + 1 disjoint fields, each
+      inside one 64-bit word. Two reads within t bits agree on at least one
+      field, so every near pair shares a field value. Each pair that does is
+      kept only after its distance is checked.
+    - The blocked scan computes each seed's distance to every later pending
+      read.
+    The rule between them compares costs. The scan computes about U^2/2
+    distances over the U distinct reads of W 64-bit words. Checking one
+    field collision takes about as long as 96 + 8W word distances of the
+    scan (numpy 2.4 on x86-64, W from 4 to 256), so the index is taken while
+    its collisions stay under U^2/2 * W / (96 + 8W). The collisions are
+    bounded first in closed form from the field widths, before any field is
+    sorted, then counted in the sorted fields before any pair is built.
+    So at L = 240 a small diameter (t = 12, thirteen fields of 16 to 22
+    bits) takes the index, and a wide one (t = 72, fields of about 3 bits)
+    takes the scan without sorting a field.
     """
     if config.rho is None:
         raise ValueError(
@@ -176,7 +203,7 @@ def greedy_cluster(output, config):
     order = np.argsort(first)  # distinct reads in first-occurrence order
     span = np.min_scalar_type(8 * width)  # holds any distance, padding included
     labels = np.empty(first.size, dtype=np.int64)  # per distinct read
-    labels[order] = _greedy_labels(padded.view(np.uint64)[first[order]], t, span)
+    labels[order] = _greedy_labels(padded.view(np.uint64)[first[order]], t, span, output.length)
     labels = labels[inverse]  # per read
     # Stable by label: members ascending, clusters in seed order.
     members = np.argsort(labels, kind="stable").tolist()
@@ -187,22 +214,86 @@ def greedy_cluster(output, config):
     ]
 
 
-def _greedy_labels(rows, t, span):
+def _greedy_labels(rows, t, span, length):
     """Cluster label of each read under the greedy rule with diameter t bits;
-    clusters are numbered in seed order. rows holds one read per row as
-    64-bit words; span is an unsigned dtype that holds any distance.
+    clusters are numbered in seed order. rows holds one read of `length` bits
+    per row as 64-bit words, padding bits zero; span is an unsigned dtype
+    that holds any distance."""
+    assigned = bytearray(rows.shape[0])
+    pairs = _indexed_pairs(rows, t, length)
+    if pairs is None:
+        seeds = _scanned_seeds(rows, t, span, assigned)
+    else:
+        seeds = _listed_seeds(pairs, assigned)
+    roots = np.array(_walk(rows, t, span, seeds, assigned), dtype=np.int64)
+    seeded = roots == np.arange(roots.size)  # a seed is its own cluster's root
+    return (np.cumsum(seeded) - 1)[roots]
 
-    The pass is blocked. The next B pending reads are taken as seeds, and
-    their distances to every later pending read are computed in one numpy
-    pass. The seeds are then walked in order. A seed that an earlier seed's
-    cluster took is skipped. Otherwise every read below it is assigned, so it
-    is the rule's next seed; with no near read after it, it is a cluster of
-    its own. Else its candidates are its still-pending near reads in
-    ascending order, and each candidate that survives joins and drops, in one
-    numpy pass, the later candidates farther than the diameter from it. The
-    pending set is compacted once per block. The next block holds twice as
-    many seeds as this one used (at most 64), so a wide diameter, whose
-    clusters take many block seeds, computes few rows it throws away.
+
+def _walk(rows, t, span, seeds, assigned):
+    """The greedy walk both pair sources share: the seed of each read's
+    cluster.
+
+    `seeds` yields seeds of the rule in order, each with its near reads in
+    ascending order, as a list or an array; an earlier cluster may have
+    taken some of them since they were listed, and the rest are the seed's
+    candidates. A read that no source yields and no cluster takes has no
+    near read after it, so it is a cluster of its own. cand[0] is within
+    the diameter of every member so far: it joins and drops the later
+    candidates out of its reach. Up to _LIST_WALK candidates are walked on
+    Python integers, with no numpy call. More (wide diameters, where one
+    cluster takes most reads) take one numpy pass per member until that few
+    are left, their rows copied only when one drops.
+    """
+    taken = np.frombuffer(assigned, dtype=bool)
+    roots = list(range(rows.shape[0]))
+    raw, size = rows.tobytes(), 8 * rows.shape[1]
+    for seed, near in seeds:
+        assigned[seed] = 1
+        if isinstance(near, list):
+            cand = [r for r in near if not assigned[r]]
+            if len(cand) > _LIST_WALK:
+                cand = np.array(cand)
+        else:
+            cand = near[~taken[near]]
+        members = []
+        if isinstance(cand, np.ndarray):
+            sub = rows[cand]
+            while cand.size > _LIST_WALK:
+                far = np.bitwise_count(sub[1:] ^ sub[0]).sum(axis=1, dtype=span)
+                members.append(int(cand[0]))
+                cand, sub = cand[1:], sub[1:]
+                if far.max() > t:
+                    keep = far <= t
+                    cand, sub = cand[keep], sub[keep]
+            cand = cand.tolist()
+        if len(cand) > 1:
+            # Each candidate with its bits as one Python integer.
+            cand = [(r, int.from_bytes(raw[r * size:(r + 1) * size], "little")) for r in cand]
+            while len(cand) > 1:
+                r, head = cand[0]
+                members.append(r)
+                cand = [(r, bits) for r, bits in cand[1:] if (head ^ bits).bit_count() <= t]
+            cand = [r for r, _ in cand]
+        for r in members + cand:
+            assigned[r] = 1
+            roots[r] = seed
+    return roots
+
+
+def _scanned_seeds(rows, t, span, assigned):
+    """Pair source 1, the blocked scan: the rule's seeds in order, each with
+    its near pending reads.
+
+    The next B pending reads are taken as seeds, and their distances to every
+    later pending read are computed in one numpy pass. A seed that an earlier
+    seed's cluster took is skipped; every other one is the rule's next seed,
+    because every read below it is assigned. When the block has no more near
+    pairs than pending reads, one flatnonzero lists them all, and each seed
+    gets a Python list; otherwise each seed gets its row of the block as an
+    array. The pending set is compacted once per block. The next block holds
+    twice as many seeds as this one used (at most 64), so a wide diameter,
+    whose clusters take many block seeds, computes few rows it throws away.
     """
     n = rows.shape[0]
     # Word-major layout: row w holds the w-th 64-bit word of every pending
@@ -214,10 +305,7 @@ def _greedy_labels(rows, t, span):
     cbuf = np.empty(_SEED_BLOCK * n, dtype=np.uint8)
     # ahead[j, k]: read pending[k + 1] comes after seed pending[j].
     ahead = ~np.tri(_SEED_BLOCK, _SEED_BLOCK - 1, -1, dtype=bool)
-    assigned = bytearray(n)
     taken = np.frombuffer(assigned, dtype=bool)
-    labels = [0] * n
-    label = 0
     pending = np.arange(n)  # read indices still unassigned, ascending
     block = _SEED_BLOCK
     while pending.size:
@@ -233,40 +321,125 @@ def _greedy_labels(rows, t, span):
             d += np.bitwise_count(x, out=cnt)
         close = np.less_equal(d, t, out=near[:cells].reshape(shape))
         close[:, : b - 1] &= ahead[:b, : b - 1]
-        lonely = (~close.any(axis=1)).tolist()
         later = pending[1:]
+        listed = np.count_nonzero(close) <= later.size
+        if listed:
+            hits = np.flatnonzero(close)
+            reads = later[hits % later.size].tolist()
+            bounds = np.searchsorted(hits, later.size * np.arange(b + 1)).tolist()
         used = 0
         for j, seed in enumerate(pending[:b].tolist()):
             if assigned[seed]:
                 continue
             used += 1
-            assigned[seed] = 1
-            labels[seed] = label
-            if not lonely[j]:
-                cand = later[close[j]]
-                cand = cand[~taken[cand]]  # still pending, ascending
-                sub = rows[cand]
-                members = []
-                # cand[0] is within the diameter of every member so far: it
-                # joins and drops the later candidates out of its reach. The
-                # rows are copied only when one is dropped.
-                while cand.size > 1:
-                    far = np.bitwise_count(sub[1:] ^ sub[0]).sum(axis=1, dtype=span)
-                    members.append(int(cand[0]))
-                    cand, sub = cand[1:], sub[1:]
-                    if far.max() > t:
-                        keep = far <= t
-                        cand, sub = cand[keep], sub[keep]
-                members += cand.tolist()
-                for r in members:
-                    assigned[r] = 1
-                    labels[r] = label
-            label += 1
+            yield seed, reads[bounds[j]:bounds[j + 1]] if listed else later[close[j]]
         keep = ~taken[pending]
         mat = np.compress(keep, mat, axis=1)
         pending = pending[keep]
         block = min(_SEED_BLOCK, 2 * used)
-    return labels
+
+
+def _listed_seeds(pairs, assigned):
+    """The rule's seeds that have near reads after them, in order, each with
+    those reads as a list, from every near pair (lo, hi), lo < hi, sorted by
+    lo then hi."""
+    lo, hi = pairs
+    starts = np.flatnonzero(np.diff(lo, prepend=-1))
+    bounds = [*starts.tolist(), lo.size]
+    hi = hi.tolist()
+    for k, seed in enumerate(lo[starts].tolist()):
+        if not assigned[seed]:
+            yield seed, hi[bounds[k]:bounds[k + 1]]
+
+
+def _indexed_pairs(rows, t, length):
+    """Pair source 2, the pigeonhole index: every pair of reads within t bits,
+    as (lo, hi) arrays with lo < hi, sorted by lo then hi; or None when the
+    scan costs less (see greedy_cluster).
+
+    Each field's values are sorted, and reads with equal values collide.
+    Pairs are built and checked in chunks of about 4U collisions, so the
+    index holds a few hundred bytes per read, less than the scan's buffers.
+    """
+    n, words = rows.shape
+    fields = t + 1
+    budget = _index_budget(n, words)
+    # Fields hold L / (t + 1) bits on average, so by convexity two random
+    # reads agree on one with chance at least (t + 1) 2^-(L / (t + 1)).
+    if fields > length or n * (n - 1) / 2 * fields * 2.0 ** (-length / fields) > budget:
+        return None
+    masks, chance = _field_masks(length, words, fields)
+    if n * (n - 1) / 2 * chance > budget:
+        return None
+    groups = []  # per field: the reads that share a value, by value, and the group sizes
+    collisions = 0
+    for word, mask in masks:
+        values = rows[:, word] & mask
+        order = np.argsort(values)
+        values = values[order]
+        sizes = np.diff(np.flatnonzero(values[1:] != values[:-1]) + 1, prepend=0, append=n)
+        collisions += int((sizes * (sizes - 1) // 2).sum())
+        if collisions > budget:
+            return None
+        groups.append((order[np.repeat(sizes > 1, sizes)], sizes[sizes > 1]))
+    found = [np.empty(0, dtype=np.int64)]
+    for ids, sizes in groups:
+        if not sizes.size:
+            continue
+        # after[i]: the positions after i in its group; i pairs with each.
+        after = np.repeat(np.cumsum(sizes), sizes) - np.arange(ids.size) - 1
+        total = np.cumsum(after)
+        cuts = (np.searchsorted(total, np.arange(4 * n, total[-1], 4 * n)) + 1).tolist()
+        for start, stop in zip([0, *cuts], [*cuts, ids.size]):
+            part = after[start:stop]
+            first = np.repeat(np.arange(start, stop), part)
+            step = np.arange(first.size) - np.repeat(np.cumsum(part) - part, part) + 1
+            a, b = ids[first], ids[first + step]
+            lo, hi = np.minimum(a, b), np.maximum(a, b)
+            close = np.bitwise_count(rows[lo] ^ rows[hi]).sum(axis=1, dtype=np.int64) <= t
+            found.append(lo[close] * n + hi[close])
+    keys = np.unique(np.concatenate(found))
+    return keys // n, keys % n
+
+
+def _index_budget(n, words):
+    """Field collisions the index may check for the time the scan takes over
+    n reads of `words` 64-bit words (see greedy_cluster)."""
+    return n * (n - 1) / 2 * words / (96 + 8 * words)
+
+
+def _field_masks(length, words, fields):
+    """The pigeonhole fields, `fields` disjoint sets of the L read bits, each
+    inside one 64-bit word, as (word, mask) pairs; and the chance that two
+    random reads agree on one of them, the sum of 2^-width.
+
+    Fields go one at a time to the word where an even split raises that
+    chance least, so they are as wide and as even as the words allow. The
+    padding bits, zero in every read, belong to no field.
+    """
+    valid = np.zeros(8 * words, dtype=np.uint8)
+    valid[: -(-length // 8)] = np.packbits(np.ones(length, dtype=np.uint8))
+    bits = [[i for i in range(64) if w >> i & 1] for w in valid.view(np.uint64).tolist()]
+
+    def chance(size, parts):
+        q, r = divmod(size, parts)  # r fields of q + 1 bits, the rest of q
+        return (parts - r) * 2.0**-q + r * 2.0 ** -(q + 1)
+
+    parts = [0] * words
+    heap = [(chance(len(b), 1), w) for w, b in enumerate(bits) if b]
+    heapq.heapify(heap)
+    for _ in range(fields):
+        _, w = heapq.heappop(heap)
+        parts[w] += 1
+        if parts[w] < len(bits[w]):
+            rise = chance(len(bits[w]), parts[w] + 1) - chance(len(bits[w]), parts[w])
+            heapq.heappush(heap, (rise, w))
+    masks = []
+    for w, k in enumerate(parts):
+        for f in range(k):
+            cut = bits[w][len(bits[w]) * f // k:len(bits[w]) * (f + 1) // k]
+            masks.append((w, np.uint64(sum(1 << i for i in cut))))
+    return masks, sum(chance(len(b), k) for b, k in zip(bits, parts) if k)
 
 
 def _clean_strands(clusters, output):

@@ -230,6 +230,22 @@ def _capacity_terms(params, tail_eps):
 # ---------------------------------------------------------------------------
 # Capacity and per-block capacities
 
+# OpenBLAS splits a 1-D dot of more than this many entries over its own
+# threads, so the summation order, and with it the bits, would follow
+# OPENBLAS_NUM_THREADS.
+_DOT_SLICE = 10_000
+
+
+def _mixture(pmf, values):
+    """pmf . values as in-order np.dot slices of at most _DOT_SLICE entries,
+    each summed on the calling thread: the same bits for any OpenBLAS thread
+    count. Up to _DOT_SLICE entries it is np.dot itself."""
+    total = 0.0
+    for i in range(0, pmf.size, _DOT_SLICE):
+        total += float(np.dot(pmf[i:i + _DOT_SLICE], values[i:i + _DOT_SLICE]))
+    return total
+
+
 def channel_capacity(params, tail_eps=1e-12):
     """Capacity per stored bit of the pooled-strand channel.
 
@@ -240,7 +256,7 @@ def channel_capacity(params, tail_eps=1e-12):
     e.g. p near 1/2), no positive rate is achievable and 0.0 is returned.
     """
     pmf, ctab = _capacity_terms(params, tail_eps)
-    mixture = float(np.dot(pmf, ctab))
+    mixture = _mixture(pmf, ctab)
     return max(0.0, mixture - params.beta * (1.0 - math.exp(-params.c)))
 
 
@@ -259,7 +275,7 @@ def block_capacity(d, p, r_ix):
 def mean_gated_capacity(params, r_ix, tail_eps=1e-12):
     """Expected index-gated capacity of a single strand's draw count."""
     pmf, ctab = _capacity_terms(params, tail_eps)
-    return float(np.dot(pmf, _gate(ctab, _check_unit(r_ix, "r_ix"))))
+    return _mixture(pmf, _gate(ctab, _check_unit(r_ix, "r_ix")))
 
 
 # ---------------------------------------------------------------------------

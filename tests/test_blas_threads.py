@@ -1,0 +1,50 @@
+"""The capacity mixtures give the same bits for any OpenBLAS thread count.
+
+OpenBLAS runs a 1-D dot of more than 10,000 entries on its own threads, and
+their number sets the order of the sum. The mixtures in `channel_capacity`
+and `mean_gated_capacity` reach that length from c of about 9,300, so they
+are summed as in-order slices of at most 10,000 entries. Each thread count
+needs a fresh interpreter: OpenBLAS reads OPENBLAS_NUM_THREADS when numpy
+loads it.
+"""
+
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import dnarate
+from dnarate import rates
+
+SCRIPT = """
+from dnarate import ChannelParams, channel_capacity, mean_gated_capacity
+for c in (1e4, 3e4):
+    params = ChannelParams(c, 0.05, 0.1)
+    print(repr(channel_capacity(params)), repr(mean_gated_capacity(params, 0.5)))
+"""
+
+
+def mixtures(threads):
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    src = str(Path(dnarate.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", SCRIPT], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.splitlines()
+
+
+def test_same_bits_under_one_and_two_openblas_threads():
+    one = mixtures(1)
+    assert one == mixtures(2)
+    assert one[0].split()[0] == "0.9499999999990014"  # c = 10^4, 10,712 terms
+
+
+@pytest.mark.parametrize("size", [1, 9_999, 10_000])
+def test_short_mixtures_are_one_dot(size):
+    rng = np.random.default_rng(size)
+    pmf, values = rng.random(size), rng.random(size)
+    assert rates._mixture(pmf, values) == float(np.dot(pmf, values))

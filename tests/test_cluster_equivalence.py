@@ -4,15 +4,23 @@
 blocked pass replaced, kept here as a test oracle: for every input both must
 return the same clusters, in the same order, with the same members. The scan
 sees every read, duplicates included, so it also checks that clustering the
-distinct reads once gives the rule's clusters.
+distinct reads once gives the rule's clusters. Both of greedy_cluster's pair
+sources are checked: `sources` records which one each call took, and
+`forced_index` lifts the index's collision budget, so the pigeonhole index
+also runs where its cost rule would take the scan.
 """
 
+import contextlib
 import dataclasses
+import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
-from dnarate import ChannelParams, ClusteringConfig, InstanceDims, random_pool, simulate_channel
+from dnarate import (ChannelParams, ClusteringConfig, InstanceDims, decoder, random_pool,
+                     simulate_channel)
 from dnarate.channel import ChannelOutput, pack_bits
 from dnarate.decoder import _SEED_BLOCK, Cluster, greedy_cluster
 
@@ -79,6 +87,46 @@ def bits_output(bits):
     )
 
 
+def packed_output(reads, length):
+    """A channel output whose reads are given packed, as greedy_cluster sees
+    them: the bytes of 64-bit words, first word first."""
+    reads = np.ascontiguousarray(reads)
+    return ChannelOutput(
+        reads=reads.view(np.uint8)[:, : -(-length // 8)],
+        origins=np.zeros(reads.shape[0], dtype=np.int64),
+        flip_counts=None,
+        length=length,
+        pool_size=1,
+    )
+
+
+@contextlib.contextmanager
+def sources():
+    """Records, per greedy_cluster call, whether the pigeonhole index listed
+    the pairs, and counts the calls that cut the bits into fields to sort."""
+    seen = {"index": [], "fields": 0}
+    pairs, masks = decoder._indexed_pairs, decoder._field_masks
+
+    def spy_pairs(*args):
+        found = pairs(*args)
+        seen["index"].append(found is not None)
+        return found
+
+    def spy_masks(*args):
+        seen["fields"] += 1
+        return masks(*args)
+
+    with mock.patch.object(decoder, "_indexed_pairs", spy_pairs), \
+            mock.patch.object(decoder, "_field_masks", spy_masks):
+        yield seen
+
+
+def forced_index():
+    """Lifts the index's collision budget, so the index runs whenever t + 1
+    fields fit in the read."""
+    return mock.patch.object(decoder, "_index_budget", lambda n, words: math.inf)
+
+
 def assert_same(output, rho):
     config = ClusteringConfig(rho=rho)
     got = greedy_cluster(output, config)
@@ -127,7 +175,12 @@ def test_matches_reference_at_bench_points(point):
     params = ChannelParams(point["c"], 0.05, point["p"])
     dims = InstanceDims.from_channel(params, 4096)
     out = simulate_channel(random_pool(dims, 7), params, 8)
-    assert_same(out, point["rho"])
+    with sources() as seen:
+        assert_same(out, point["rho"])
+    # The clean point (t = 12 of 240 bits) takes the index. The noisy one
+    # (t = 72) takes the scan without sorting a field.
+    assert seen == ({"index": [True], "fields": 1} if point["p"] == 0
+                    else {"index": [False], "fields": 0})
 
 
 @pytest.mark.parametrize(
@@ -227,3 +280,150 @@ class TestFixedCases:
         far = rng.integers(0, 2, size=(100, length))
         clusters = assert_same(bits_output(np.vstack([close, far])), 0.05)
         assert clusters[0] == Cluster(tuple(range(2 * _SEED_BLOCK)))
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(
+    # Lengths that are not a multiple of 64, and whole words, where the last
+    # field of each word ends at the word's edge.
+    length=st.one_of(st.integers(1, 320), st.sampled_from([64, 128, 192, 256])),
+    p=st.sampled_from([0.0, 0.005, 0.01]),
+    t_frac=st.floats(0.0, 1.0),
+    strands=st.integers(1, 120),
+    c=st.floats(0.5, 4.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_index_path_matches_reference_scan(length, p, t_frac, strands, c, seed):
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 2, size=(strands, length))
+    n = round(c * strands)
+    reads = pool[rng.integers(0, strands, n)] ^ (rng.random((n, length)) < p)
+    # Small diameters: t from one bit to L/8, so the fields keep 8 bits or more.
+    t = 1 + int(t_frac * max(0, length // 8 - 1))
+    rho = min(1.0, (t + 0.5) / length)
+    with forced_index(), sources() as seen:
+        assert_same(bits_output(reads), rho)
+    assert seen["index"] == [int(rho * length) + 1 <= length]
+
+
+class TestPigeonholeIndex:
+    # 400 random reads of L = 240 bits, four words, no padding; t = 12, so
+    # the index cuts 13 fields of 16 to 22 bits.
+    length, rho = 240, 12.5 / 240
+
+    def reads(self):
+        rng = np.random.default_rng(11)
+        return rng.integers(0, 2**63, size=(400, 4)).astype(np.uint64)
+
+    def fields(self):
+        return decoder._field_masks(self.length, 4, 13)[0]
+
+    def flipped(self, row, masks):
+        """row with the lowest bit of each field in masks flipped."""
+        row = row.copy()
+        for word, mask in masks:
+            row[word] ^= mask & (~mask + np.uint64(1))
+        return row
+
+    def cluster(self, reads):
+        with sources() as seen:
+            clusters = assert_same(packed_output(reads, self.length), self.rho)
+        assert seen["index"] == [True]
+        return {m: c.members for c in clusters for m in c.members}
+
+    def test_fields_cover_the_bits_as_evenly_as_the_words_allow(self):
+        # Words 0-2 hold 64 bits and word 3 the last 48: four fields of 16
+        # bits in word 0, three of 21 or 22 in words 1 and 2, three of 16 in
+        # word 3.
+        masks = [(w, int(m)) for w, m in self.fields()]
+        assert [(w, m.bit_count()) for w, m in masks] == (
+            [(0, 16)] * 4 + [(1, 21), (1, 21), (1, 22), (2, 21), (2, 21), (2, 22)] + [(3, 16)] * 3)
+        for w, top in enumerate([64, 64, 64, 48]):
+            in_word = [m for word, m in masks if word == w]
+            assert sum(in_word) == 2**top - 1 and sum(m.bit_count() for m in in_word) == top
+
+    def test_pair_at_exactly_t_bits_joins(self):
+        # One difference in each of t fields: they agree on the last one only.
+        reads = self.reads()
+        reads[250] = self.flipped(reads[100], self.fields()[:12])
+        assert self.cluster(reads)[100] == (100, 250)
+
+    def test_pair_at_t_plus_one_bits_stays_apart(self):
+        # One difference in each of the t + 1 fields: no field is shared.
+        reads = self.reads()
+        reads[250] = self.flipped(reads[100], self.fields())
+        label = self.cluster(reads)
+        assert label[100] == (100,) and label[250] == (250,)
+
+    def test_shared_field_beyond_t_bits_stays_apart(self):
+        # The pair collides in the first field but differs in every bit of
+        # the others; the distance check drops it.
+        reads = self.reads()
+        far = reads[100].copy()
+        for word, mask in self.fields()[1:]:
+            far[word] ^= mask
+        reads[250] = far
+        label = self.cluster(reads)
+        assert label[100] == (100,) and label[250] == (250,)
+
+    def test_copies_of_earlier_reads(self):
+        reads = self.reads()
+        reads[250] = self.flipped(reads[100], self.fields()[:5])
+        reads[[260, 300, 399]] = reads[[100, 250, 3]]
+        label = self.cluster(reads)
+        assert label[100] == (100, 250, 260, 300) and label[3] == (3, 399)
+
+    def test_clean_reads_with_copies(self):
+        # At p = 0 each strand's reads are exact copies; the index runs on
+        # one read per strand.
+        params = ChannelParams(3, 0.05, 0.0)
+        out = simulate_channel(random_pool(InstanceDims.from_channel(params, 256), 5), params, 6)
+        with sources() as seen:
+            clusters = assert_same(out, 0.05)
+        assert seen["index"] == [True]
+        assert count_fibers(out) == sorted(c.size for c in clusters)
+
+    @pytest.mark.parametrize("length", [1, 3, 10])
+    def test_too_few_bits_for_the_fields_take_the_scan(self, length):
+        # At rho = 1, t = L: t + 1 fields of one bit or more need more bits
+        # than the read has, whatever the budget.
+        rng = np.random.default_rng(length)
+        with forced_index(), sources() as seen:
+            assert_same(bits_output(rng.integers(0, 2, size=(50, length))), 1.0)
+        assert seen == {"index": [False], "fields": 0}
+
+    def test_colliding_fields_take_the_scan_in_its_memory(self):
+        # Reads equal outside one field: every pair collides in the other 12
+        # fields. The collision count passes the budget in the second field
+        # sorted, before any pair is built, and the scan runs. Its 64-row
+        # buffers (about 1.4 MB here) bound the peak.
+        rng = np.random.default_rng(12)
+        word, mask = self.fields()[0]
+        reads = np.tile(self.reads()[0], (2000, 1))
+        reads[:, word] = (reads[:, word] & ~mask) | (
+            rng.integers(0, 2**63, 2000).astype(np.uint64) & mask)
+        out = packed_output(reads, self.length)
+        config = ClusteringConfig(rho=self.rho)
+        with sources() as seen:
+            peak, clusters = traced_peak(greedy_cluster, out, config)
+        assert seen == {"index": [False], "fields": 1}
+        assert clusters == reference_greedy_cluster(out, config)
+        with mock.patch.object(decoder, "_indexed_pairs", lambda rows, t, length: None):
+            scan_peak, _ = traced_peak(greedy_cluster, out, config)
+        assert peak <= scan_peak + 64 * 1024
+
+
+def count_fibers(output):
+    """Sorted read counts of the strands that were read."""
+    counts = np.bincount(output.origins, minlength=output.pool_size)
+    return sorted(counts[counts > 0].tolist())
+
+
+def traced_peak(fn, *args):
+    """Peak traced allocation while fn(*args) runs, and its result."""
+    tracemalloc.start()
+    try:
+        result = fn(*args)
+        return tracemalloc.get_traced_memory()[1], result
+    finally:
+        tracemalloc.stop()
