@@ -161,9 +161,9 @@ def simulate_channel(pool, params, seed):
     if params.p > 0:
         for start in range(0, N, batch):
             stop = min(N, start + batch)
-            flips = (rng.random((stop - start, L)) < params.p).astype(np.uint8)
-            flip_counts[start:stop] = flips.sum(axis=1)
-            reads[start:stop] ^= pack_bits(flips)
+            flips = np.packbits(rng.random((stop - start, L)) < params.p, axis=1)
+            flip_counts[start:stop] = np.bitwise_count(flips).sum(axis=1, dtype=np.int64)
+            reads[start:stop] ^= flips
     return ChannelOutput(
         reads=reads,
         origins=origins,

@@ -44,11 +44,12 @@ __all__ = [
 # runs on the U <= N distinct reads, with one of two pair sources (see
 # greedy_cluster). In the blocked scan, each read is a seed at most once,
 # compared with the pending reads after its block's first seed: at most
-# U^2/2 + 32U distances. In the pigeonhole index, each field collision costs
-# one distance, and the index is taken only while its collisions cost less
-# than the scan's U^2/2 distances. Each member is compared once with its
-# seed's later candidates: at most U^2/2 more. So N^2 distances of L bits
-# still bound the work.
+# U^2/2 + 32U cells. A cell sums a prefix of the words and, if it is still
+# within the diameter, the rest, so it costs at most L bits. In the
+# pigeonhole index, each field collision costs one distance, and the index
+# is taken only while its collisions cost less than the scan's U^2/2
+# distances. Each member is compared once with its seed's later candidates:
+# at most U^2/2 more. So N^2 distances of L bits still bound the work.
 DEFAULT_DISTANCE_BUDGET = 1e11
 
 
@@ -175,7 +176,10 @@ def greedy_cluster(output, config):
       field, so every near pair shares a field value. Each pair that does is
       kept only after its distance is checked.
     - The blocked scan computes each seed's distance to every later pending
-      read.
+      read, word by word. Once the first 2t // 64 + 1 words put a pair past
+      t bits, the rest cannot bring it back, so only the pairs still within
+      t after those words get the rest. At L = 240 and t = 72, three words
+      of four.
     The rule between them compares costs. The scan computes about U^2/2
     distances over the U distinct reads of W 64-bit words. Checking one
     field collision takes about as long as 96 + 8W word distances of the
@@ -285,17 +289,27 @@ def _scanned_seeds(rows, t, span, assigned):
     """Pair source 1, the blocked scan: the rule's seeds in order, each with
     its near pending reads.
 
-    The next B pending reads are taken as seeds, and their distances to every
-    later pending read are computed in one numpy pass. A seed that an earlier
-    seed's cluster took is skipped; every other one is the rule's next seed,
-    because every read below it is assigned. When the block has no more near
-    pairs than pending reads, one flatnonzero lists them all, and each seed
-    gets a Python list; otherwise each seed gets its row of the block as an
-    array. The pending set is compacted once per block. The next block holds
-    twice as many seeds as this one used (at most 64), so a wide diameter,
-    whose clusters take many block seeds, computes few rows it throws away.
+    The next B pending reads are taken as seeds, and their distances to
+    every later pending read are summed one numpy pass per 64-bit word. Only
+    the first 2t // 64 + 1 words (all W, if fewer) are summed for every
+    cell: past them an unrelated pair already averages more than t bits,
+    and a cell past t there stays past t. When the block has no more cells
+    within t than pending reads, one flatnonzero lists them and the other
+    words are added on those cells alone (see _finished); each seed gets a
+    Python list. Otherwise the other words are added densely and the same
+    rule runs on the full distances: a list per seed, or each seed's row of
+    the block as an array.
+
+    A seed that an earlier seed's cluster took is skipped; every other one
+    is the rule's next seed, because every read below it is assigned. One
+    with no near read is a cluster of its own: it is marked assigned, not
+    yielded (see _walk). The pending set is compacted once per block. The
+    next block holds twice as many seeds as this one used (at most 64), so
+    a wide diameter, whose clusters take many block seeds, computes few
+    rows it throws away.
     """
-    n = rows.shape[0]
+    n, words = rows.shape
+    prefix = min(words, 2 * t // 64 + 1)
     # Word-major layout: row w holds the w-th 64-bit word of every pending
     # read, so a block's distances are one broadcast pass per word.
     mat = np.ascontiguousarray(rows.T)
@@ -315,16 +329,21 @@ def _scanned_seeds(rows, t, span, assigned):
         cells = shape[0] * shape[1]
         d = dist[:cells].reshape(shape)
         x, cnt = xbuf[:cells].reshape(shape), cbuf[:cells].reshape(shape)
-        d.fill(0)
-        for word in mat:
-            np.bitwise_xor(word[:b, None], word[None, 1:], out=x)
-            d += np.bitwise_count(x, out=cnt)
-        close = np.less_equal(d, t, out=near[:cells].reshape(shape))
-        close[:, : b - 1] &= ahead[:b, : b - 1]
+        close = near[:cells].reshape(shape)
         later = pending[1:]
-        listed = np.count_nonzero(close) <= later.size
+        summed = 0
+        for stop in sorted({prefix, words}):  # the prefix, then the rest if too many are near
+            _sum_words(mat, range(summed, stop), b, d, x, cnt)
+            summed = stop
+            np.less_equal(d, t, out=close)
+            close[:, : b - 1] &= ahead[:b, : b - 1]
+            listed = np.count_nonzero(close) <= later.size
+            if listed:
+                break
         if listed:
             hits = np.flatnonzero(close)
+            if summed < words and hits.size:
+                hits = _finished(mat, summed, hits, later.size, d, t, span)
             reads = later[hits % later.size].tolist()
             bounds = np.searchsorted(hits, later.size * np.arange(b + 1)).tolist()
         used = 0
@@ -332,11 +351,36 @@ def _scanned_seeds(rows, t, span, assigned):
             if assigned[seed]:
                 continue
             used += 1
-            yield seed, reads[bounds[j]:bounds[j + 1]] if listed else later[close[j]]
+            found = reads[bounds[j]:bounds[j + 1]] if listed else later[close[j]]
+            if len(found):
+                yield seed, found
+            else:
+                assigned[seed] = 1  # no near read: a cluster of its own
         keep = ~taken[pending]
         mat = np.compress(keep, mat, axis=1)
         pending = pending[keep]
         block = min(_SEED_BLOCK, 2 * used)
+
+
+def _sum_words(mat, words, b, d, x, cnt):
+    """Add to d[j, k] the distance between columns j and k + 1 of mat over
+    the given word rows; word 0 writes d instead. x and cnt are scratch of
+    d's shape."""
+    for w in words:
+        np.bitwise_xor(mat[w, :b, None], mat[w, None, 1:], out=x)
+        if w:
+            d += np.bitwise_count(x, out=cnt)
+        else:
+            np.bitwise_count(x, out=d)
+
+
+def _finished(mat, prefix, hits, width, d, t, span):
+    """The hits (flat cells j * width + k of the block) whose distance is
+    within t once the words from `prefix` on are added to d: seed column j
+    against column k + 1 of mat, gathered for those cells alone."""
+    seeds, cols = np.divmod(hits, width)
+    rest = np.bitwise_count(mat[prefix:, seeds] ^ mat[prefix:, cols + 1]).sum(axis=0, dtype=span)
+    return hits[d.ravel()[hits] + rest <= t]
 
 
 def _listed_seeds(pairs, assigned):
@@ -442,19 +486,23 @@ def _field_masks(length, words, fields):
     return masks, sum(chance(len(b), k) for b, k in zip(bits, parts) if k)
 
 
-def _clean_strands(clusters, output):
+def _flattened(clusters):
+    """Each cluster's size, and every member in cluster order, as arrays."""
+    groups = [c.members for c in clusters]
+    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+    members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
+                          count=int(sizes.sum()))
+    return sizes, members
+
+
+def _clean_strands(sizes, members, output):
     """Per cluster, the strand whose full read set it is, or -1 if it is not
     clean (mixed origins, some of its strand's reads missing, or empty).
-    Every member must be a read index in [0, N)."""
-    sizes = np.fromiter((c.size for c in clusters), dtype=np.int64, count=len(clusters))
+    sizes and members are the clusters as _flattened gives them; every
+    member must be a read index in [0, N)."""
     strands = np.full(sizes.size, -1, dtype=np.int64)
     filled = np.flatnonzero(sizes)
     if filled.size:
-        members = np.fromiter(
-            itertools.chain.from_iterable(c.members for c in clusters),
-            dtype=np.int64,
-            count=int(sizes.sum()),
-        )
         if members.min() < 0 or members.max() >= output.N:
             raise ValueError(f"cluster members must be read indices in [0, {output.N}), "
                              f"got {members.min()} .. {members.max()}")
@@ -470,12 +518,14 @@ def _clean_strands(clusters, output):
 def count_wrong_clusters(clusters, output):
     """Count clusters that are not exactly the full read set of one strand.
     The clusters must partition the reads: each read in exactly one."""
-    members = sorted(itertools.chain.from_iterable(c.members for c in clusters))
-    if members != list(range(output.N)):
-        covered = len(set(members).intersection(range(output.N)))
-        raise ValueError(f"clustering covers {covered} reads, expected {output.N}, in "
-                         f"{len(members)} members; clusters must partition the reads")
-    return int((_clean_strands(clusters, output) < 0).sum())
+    sizes, members = _flattened(clusters)
+    inside = members[(members >= 0) & (members < output.N)]
+    covers = np.bincount(inside, minlength=output.N)
+    if inside.size != members.size or (covers != 1).any():
+        raise ValueError(f"clustering covers {np.count_nonzero(covers)} reads, expected "
+                         f"{output.N}, in {members.size} members; clusters must partition "
+                         f"the reads")
+    return int((_clean_strands(sizes, members, output) < 0).sum())
 
 
 def oracle_index_decode(clusters, output, params, r_ix):
@@ -488,10 +538,9 @@ def oracle_index_decode(clusters, output, params, r_ix):
     clusters ever claim the same index, all its claimants are dropped.
     """
     m = output.pool_size
-    sizes = [c.size for c in clusters]
-    gtab = gated_capacity_table(params.p, max(sizes, default=1), r_ix)
-    sizes = np.array(sizes, dtype=np.int64)
-    strands = _clean_strands(clusters, output)
+    sizes, members = _flattened(clusters)
+    gtab = gated_capacity_table(params.p, int(sizes.max()) if sizes.size else 1, r_ix)
+    strands = _clean_strands(sizes, members, output)
     kept = gtab[sizes] > 0.0
     m_wrong = int((kept & (strands < 0)).sum())
     claims = np.flatnonzero(kept & (strands >= 0))  # positions, ascending

@@ -22,6 +22,7 @@ from dnarate import (
     unpack_bits,
 )
 from dnarate import channel as channel_module
+from dnarate.seeding import substream
 
 PARAMS = ChannelParams(c=2, beta=0.05, p=0.1)
 
@@ -153,6 +154,44 @@ class TestSimulateChannel:
         out = simulate_channel(random_pool(InstanceDims.from_channel(params, 512), 11), params, 12)
         raw = out.reads.tobytes() + out.origins.tobytes() + out.flip_counts.tobytes()
         assert hashlib.sha256(raw).hexdigest()[:16] == digest
+
+    @staticmethod
+    def reference_channel(pool, params, seed):
+        """simulate_channel as it drew the noise before the flips were
+        packed straight from the comparison: a uint8 copy of each batch,
+        summed per read, then packed."""
+        rng = substream(seed, "channel")
+        M, L = pool.M, pool.length
+        N = round(params.c * M)
+        origins = rng.integers(0, M, size=N, dtype=np.int64)
+        reads = pool.bits[origins].copy()
+        flip_counts = np.zeros(N, dtype=np.int64)
+        batch = max(1, channel_module._NOISE_BATCH_BITS // L)
+        if params.p > 0:
+            for start in range(0, N, batch):
+                stop = min(N, start + batch)
+                flips = (rng.random((stop - start, L)) < params.p).astype(np.uint8)
+                flip_counts[start:stop] = flips.sum(axis=1)
+                reads[start:stop] ^= pack_bits(flips)
+        return reads, origins, flip_counts
+
+    @pytest.mark.parametrize("p", [0.0, 0.001, 0.1, 0.5])
+    @pytest.mark.parametrize("length", [1, 7, 8, 9, 240, 241])
+    def test_same_bytes_as_the_unpacked_noise(self, monkeypatch, p, length):
+        # 2^10-bit batches: N = 1200 reads span two batches at L = 1 and
+        # hundreds at L = 241.
+        monkeypatch.setattr(channel_module, "_NOISE_BATCH_BITS", 1 << 10)
+        assert 1200 > (1 << 10) // length
+        params = ChannelParams(2, 0.05, p)
+        pool = random_pool(InstanceDims(M=600, L=length, N=1200), 31)
+        out = simulate_channel(pool, params, 32)
+        reads, origins, flip_counts = self.reference_channel(pool, params, 32)
+        assert out.N == 1200
+        assert np.array_equal(out.reads, reads)
+        assert np.array_equal(out.origins, origins)
+        assert out.flip_counts.dtype == np.int64
+        assert np.array_equal(out.flip_counts, flip_counts)
+        assert (flip_counts.sum() > 0) == (p > 0)
 
     def test_noiseless_draws_the_same_origins(self):
         # p only drives the flips, which are drawn after the origins.

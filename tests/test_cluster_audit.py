@@ -5,6 +5,8 @@ decoder did before it audited every cluster in one vectorised pass. Both must
 agree on hand-built cluster lists that greedy clustering would never return.
 """
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -145,6 +147,50 @@ def test_cover_checked():
         count_wrong_clusters([Cluster((0, 1)), Cluster((2, 3, 4, 5, 6))], output)
     with pytest.raises(ValueError, match="expected 0"):
         count_wrong_clusters([Cluster((0,))], origins_output([], pool_size=1))
+
+
+def reference_partition_error(clusters, n):
+    """The message of the partition check as a sort of every member and a
+    list comparison wrote it, or None when the clusters partition n reads."""
+    members = sorted(itertools.chain.from_iterable(c.members for c in clusters))
+    if members == list(range(n)):
+        return None
+    covered = len(set(members).intersection(range(n)))
+    return (f"clustering covers {covered} reads, expected {n}, in {len(members)} members; "
+            f"clusters must partition the reads")
+
+
+@pytest.mark.parametrize("n, clusters", [
+    (8, [(0, 1), (2, 3, 4, 5, 6), (6, 7)]),
+    (8, [(0, 1), (1, 3, 4, 5, 6, 7)]),
+    (8, [(0, 1), (2, 3, 4, 5, 6)]),
+    (8, [(0, 1), (3, 4, 5, 6, 7)]),
+    (8, [(-1, 0, 1), (2, 3, 4, 5, 6, 7)]),
+    (8, [(-2, 1), (2, 3, 4, 5, 6, 7)]),
+    (8, [(0, 1), (2, 3, 4, 5, 6, 7, 8)]),
+    (8, [(0, 1), (2, 3, 4, 5, 6, 9)]),
+    (8, []),
+    (0, [(0,)]),
+    (0, [(-1,)]),
+    (0, [(), (3,)]),
+], ids=["duplicate", "duplicate in place of a read", "missing", "missing first",
+        "negative", "negative in place of a read", "member N", "member past N",
+        "no clusters", "N = 0, one member", "N = 0, negative member", "N = 0, empty cluster"])
+def test_partition_check_message(n, clusters):
+    output = origins_output(FIBRES[:n], pool_size=5)
+    clusters = [Cluster(members) for members in clusters]
+    expected = reference_partition_error(clusters, n)
+    with pytest.raises(ValueError) as refused:
+        count_wrong_clusters(clusters, output)
+    assert str(refused.value) == expected
+
+
+@pytest.mark.parametrize("clusters, wrong", [([], 0), ([()], 1), ([(), ()], 2)])
+def test_partition_of_no_reads(clusters, wrong):
+    output = origins_output([], pool_size=4)
+    clusters = [Cluster(members) for members in clusters]
+    assert reference_partition_error(clusters, 0) is None
+    assert count_wrong_clusters(clusters, output) == wrong
 
 
 def test_negative_member_refused():

@@ -427,3 +427,125 @@ def traced_peak(fn, *args):
         return tracemalloc.get_traced_memory()[1], result
     finally:
         tracemalloc.stop()
+
+
+@contextlib.contextmanager
+def finishes():
+    """Records how the blocked scan finished each block cut at a word
+    prefix: the hits `_finished` completed from their columns, and the
+    suffix words `_sum_words` added densely. The index is turned off, so
+    every greedy_cluster call takes the scan."""
+    seen = {"listed": [], "dense": []}
+    finished, sum_words = decoder._finished, decoder._sum_words
+
+    def spy_finished(mat, prefix, hits, *args):
+        seen["listed"].append(hits.size)
+        return finished(mat, prefix, hits, *args)
+
+    def spy_sum_words(mat, words, *args):
+        if words.start:
+            seen["dense"].append(words)
+        return sum_words(mat, words, *args)
+
+    with mock.patch.object(decoder, "_indexed_pairs", lambda rows, t, length: None), \
+            mock.patch.object(decoder, "_finished", spy_finished), \
+            mock.patch.object(decoder, "_sum_words", spy_sum_words):
+        yield seen
+
+
+def prefix_words(t, length):
+    """Words of a read the scan sums for every cell at diameter t."""
+    return min(-(-length // 64), 2 * t // 64 + 1)
+
+
+@hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
+@hypothesis.given(
+    length=st.one_of(st.integers(1, 320),
+                     st.sampled_from([63, 65, 127, 129, 191, 193, 240, 255, 257, 319])),
+    p=st.sampled_from([0.0, 0.02, 0.1, 0.3]),
+    t_frac=st.floats(0.0, 1.0),
+    strands=st.integers(1, 80),
+    c=st.floats(0.5, 3.0),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_word_prefix_cut_matches_reference_scan(length, p, t_frac, strands, c, seed):
+    words = -(-length // 64)
+    # With two words or more, t stays below 32 (W - 1), so the scan sums
+    # 2t // 64 + 1 < W words first; a one-word read has no suffix to cut.
+    t = 1 + int(t_frac * ((32 * (words - 1) if words > 1 else length + 1) - 2))
+    rng = np.random.default_rng(seed)
+    pool = rng.integers(0, 2, size=(strands, length))
+    n = max(1, round(c * strands))
+    reads = pool[rng.integers(0, strands, n)] ^ (rng.random((n, length)) < p)
+    # Read 1 lies one bit, in the last word, from read 0: a near pair in the
+    # first block.
+    reads = np.vstack([reads[:1], reads[:1], reads[1:]])
+    reads[1, -1] ^= 1
+    with finishes() as seen:
+        assert_same(bits_output(reads), min(1.0, (t + 0.5) / length))
+    cut = prefix_words(t, length) < words
+    assert cut == (words > 1)
+    assert bool(seen["listed"] or seen["dense"]) == cut
+
+
+class TestWordPrefixCut:
+    # 300 random reads of L = 240 bits at t = 72: the scan sums words 0-2
+    # (192 bits) for every cell and word 3 (48 bits) for the listed ones.
+    length, rho = 240, 72.5 / 240
+
+    def reads(self):
+        rng = np.random.default_rng(21)
+        return rng.integers(0, 2**63, size=(300, 4)).astype(np.uint64)
+
+    def flipped(self, row, prefix_bits, suffix_bits):
+        """row with its lowest bits flipped: `prefix_bits` of word 0 and
+        `suffix_bits` of word 3, the suffix word."""
+        row = row.copy()
+        row[0] ^= np.uint64((1 << prefix_bits) - 1)
+        row[3] ^= np.uint64((1 << suffix_bits) - 1)
+        return row
+
+    def cluster(self, reads):
+        with finishes() as seen:
+            clusters = assert_same(packed_output(reads, self.length), self.rho)
+        assert prefix_words(72, self.length) == 3
+        return {m: c.members for c in clusters for m in c.members}, seen
+
+    def test_pair_at_exactly_t_bits_joins(self):
+        # 48 of the 72 differences lie in the suffix word.
+        reads = self.reads()
+        reads[250] = self.flipped(reads[100], 24, 48)
+        label, seen = self.cluster(reads)
+        assert label[100] == (100, 250)
+        assert seen["listed"] and not seen["dense"]
+
+    def test_pair_within_t_on_the_prefix_but_t_plus_one_apart_stays_apart(self):
+        # 25 bits apart on the prefix, 73 in full.
+        reads = self.reads()
+        reads[250] = self.flipped(reads[100], 25, 48)
+        label, seen = self.cluster(reads)
+        assert label[100] == (100,) and label[250] == (250,)
+        assert seen["listed"] and not seen["dense"]
+
+    def test_prefix_survivors_beyond_the_pending_reads_take_the_dense_finish(self):
+        # L = 320, t = 72: reads share their first three words up to a few
+        # flips and differ at random in the last two (128 bits), so every
+        # cell survives the prefix and the full distances straddle t.
+        length = 320
+        rng = np.random.default_rng(22)
+        reads = rng.integers(0, 2**63, size=(150, 5)).astype(np.uint64)
+        reads[:, :3] = reads[0, :3]
+        for i in range(150):
+            for bit in rng.choice(192, 4, replace=False).tolist():
+                reads[i, bit // 64] ^= np.uint64(1 << bit % 64)
+        with finishes() as seen:
+            clusters = assert_same(packed_output(reads, length), 72.5 / length)
+        assert seen["dense"] and seen["dense"][0] == range(3, 5)
+        assert 1 < len(clusters) < 150
+
+    @pytest.mark.parametrize("n", [0, 1])
+    def test_no_reads_and_one_read(self, n):
+        with finishes() as seen:
+            clusters = assert_same(packed_output(self.reads()[:n], self.length), self.rho)
+        assert clusters == [Cluster((0,))] * n
+        assert seen == {"listed": [], "dense": []}
