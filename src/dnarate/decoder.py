@@ -9,7 +9,6 @@ decoders stand in for capacity-achieving codes: they isolate the behaviour of
 the channel and the scheme thresholds without constructing codebooks.
 """
 
-import heapq
 import itertools
 import warnings
 from dataclasses import dataclass
@@ -45,11 +44,13 @@ __all__ = [
 # greedy_cluster). In the blocked scan, each read is a seed at most once,
 # compared with the pending reads after its block's first seed: at most
 # U^2/2 + 32U cells. A cell sums a prefix of the words and, if it is still
-# within the diameter, the rest, so it costs at most L bits. In the
-# pigeonhole index, each field collision costs one distance, and the index
-# is taken only while its collisions cost less than the scan's U^2/2
-# distances. Each member is compared once with its seed's later candidates:
-# at most U^2/2 more. So N^2 distances of L bits still bound the work.
+# within the diameter, the rest, so it costs at most L bits. The pigeonhole
+# index sorts t + 1 <= L fields of the U reads. A field's offset passes
+# compare its U sorted values once and each of its collisions once more,
+# and each collision costs one distance; the index runs only while the
+# collisions stay under U^2/2 such distances. Each member is compared once
+# with its seed's later candidates: at most U^2/2 more. So N^2 distances
+# of L bits, plus L sorts of U values, still bound the work.
 DEFAULT_DISTANCE_BUDGET = 1e11
 
 
@@ -147,6 +148,13 @@ _SEED_BLOCK = 64
 # Candidate lists up to this size are walked on Python integers; longer ones
 # take one numpy pass per member until they are this short.
 _LIST_WALK = 32
+# Widest pigeonhole field: with the padding gap of a partial last byte
+# inside it, it still spans at most 64 bits, one shift of a two-word window.
+_FIELD_BITS = 57
+# Checking one field collision of reads of W 64-bit words takes about as
+# long as the blocked scan summing a + b W words (see greedy_cluster). Wider
+# reads cross over at larger t, where near pairs share more fields: a < 0.
+_COLLISION_COST = (-100, 125)
 
 
 def greedy_cluster(output, config):
@@ -171,25 +179,27 @@ def greedy_cluster(output, config):
     A seed's candidates are its near reads: the pending reads within
     t = floor(rho*L) bits of it. Two exact sources list them, and one walk
     turns them into clusters (see _walk).
-    - The pigeonhole index cuts the L bits into t + 1 disjoint fields, each
-      inside one 64-bit word. Two reads within t bits agree on at least one
-      field, so every near pair shares a field value. Each pair that does is
-      kept only after its distance is checked.
+    - The pigeonhole index cuts the L bits into t + 1 disjoint fields of
+      floor(L / (t + 1)) bits or one more, at most 57 (see _fields). Two
+      reads within t bits agree on at least one field, so every near pair
+      shares a field value. Each pair that does is kept only after its
+      distance is checked.
     - The blocked scan computes each seed's distance to every later pending
       read, word by word. Once the first 2t // 64 + 1 words put a pair past
       t bits, the rest cannot bring it back, so only the pairs still within
       t after those words get the rest. At L = 240 and t = 72, three words
       of four.
-    The rule between them compares costs. The scan computes about U^2/2
-    distances over the U distinct reads of W 64-bit words. Checking one
-    field collision takes about as long as 96 + 8W word distances of the
-    scan (numpy 2.4 on x86-64, W from 4 to 256), so the index is taken while
-    its collisions stay under U^2/2 * W / (96 + 8W). The collisions are
-    bounded first in closed form from the field widths, before any field is
-    sorted, then counted in the sorted fields before any pair is built.
-    So at L = 240 a small diameter (t = 12, thirteen fields of 16 to 22
-    bits) takes the index, and a wide one (t = 72, fields of about 3 bits)
-    takes the scan without sorting a field.
+    The rule between them compares costs from L, t and W alone, before any
+    field is cut. The scan sums min(W, 2t // 64 + 1) words per pair. Two
+    random reads share a field value with chance sum(2^-width), and one
+    such collision takes about as long to check as the scan takes to sum
+    125 W - 100 words (numpy 2.4 on x86-64, fitted on c = 2 channel reads
+    for W = 1 to 15). The index is taken iff that chance times 125 W - 100
+    is at most the scan's words: at L = 240, for t <= 17. An input whose
+    fields collide far more often than random reads' is caught while they
+    are sorted, before any pair is built, and takes the scan. So the clean
+    bench point (t = 12 of 240 bits, thirteen fields of 18 or 19 bits) takes
+    the index, and the noisy one (t = 72) the scan without sorting a field.
     """
     if config.rho is None:
         raise ValueError(
@@ -401,89 +411,77 @@ def _indexed_pairs(rows, t, length):
     as (lo, hi) arrays with lo < hi, sorted by lo then hi; or None when the
     scan costs less (see greedy_cluster).
 
-    Each field's values are sorted, and reads with equal values collide.
-    Pairs are built and checked in chunks of about 4U collisions, so the
-    index holds a few hundred bytes per read, less than the scan's buffers.
+    Each field's values are sorted, and reads with equal values collide; all
+    collisions are counted before any pair is built. A field's pass k then
+    checks the reads k places apart in sorted order whose values are equal,
+    among those equal k - 1 apart: each collision once, at most U per pass.
     """
     n, words = rows.shape
     fields = t + 1
-    budget = _index_budget(n, words)
-    # Fields hold L / (t + 1) bits on average, so by convexity two random
-    # reads agree on one with chance at least (t + 1) 2^-(L / (t + 1)).
-    if fields > length or n * (n - 1) / 2 * fields * 2.0 ** (-length / fields) > budget:
+    if fields > length:
         return None
-    masks, chance = _field_masks(length, words, fields)
-    if n * (n - 1) / 2 * chance > budget:
+    q, r = divmod(length, fields)  # r fields of q + 1 bits, the rest of q
+    chance = (fields - r) * 2.0 ** -min(q, _FIELD_BITS) + r * 2.0 ** -min(q + 1, _FIELD_BITS)
+    prefix, (base, per_word) = _scan_words(t, words), _COLLISION_COST
+    if chance * (base + per_word * words) > prefix:
         return None
-    groups = []  # per field: the reads that share a value, by value, and the group sizes
+    budget = n * (n - 1) / 2 * prefix / words  # the scan's words, in distances
+    groups = []  # per field: the reads that share a value, and the values, sorted
     collisions = 0
-    for word, mask in masks:
-        values = rows[:, word] & mask
+    for word, shift, mask in _fields(length, fields):
+        values = rows[:, word] >> np.uint64(shift)
+        if shift + mask.bit_length() > 64:
+            values |= rows[:, word + 1] << np.uint64(64 - shift)
+        values &= np.uint64(mask)
         order = np.argsort(values)
         values = values[order]
         sizes = np.diff(np.flatnonzero(values[1:] != values[:-1]) + 1, prepend=0, append=n)
         collisions += int((sizes * (sizes - 1) // 2).sum())
         if collisions > budget:
             return None
-        groups.append((order[np.repeat(sizes > 1, sizes)], sizes[sizes > 1]))
-    found = [np.empty(0, dtype=np.int64)]
-    for ids, sizes in groups:
-        if not sizes.size:
-            continue
-        # after[i]: the positions after i in its group; i pairs with each.
-        after = np.repeat(np.cumsum(sizes), sizes) - np.arange(ids.size) - 1
-        total = np.cumsum(after)
-        cuts = (np.searchsorted(total, np.arange(4 * n, total[-1], 4 * n)) + 1).tolist()
-        for start, stop in zip([0, *cuts], [*cuts, ids.size]):
-            part = after[start:stop]
-            first = np.repeat(np.arange(start, stop), part)
-            step = np.arange(first.size) - np.repeat(np.cumsum(part) - part, part) + 1
-            a, b = ids[first], ids[first + step]
-            lo, hi = np.minimum(a, b), np.maximum(a, b)
-            close = np.bitwise_count(rows[lo] ^ rows[hi]).sum(axis=1, dtype=np.int64) <= t
-            found.append(lo[close] * n + hi[close])
-    keys = np.unique(np.concatenate(found))
+        shared = np.repeat(sizes > 1, sizes)
+        # After the last run, a value that no field of at most 57 bits takes.
+        groups.append((order[shared], np.append(values[shared], ~np.uint64(0))))
+    heads, tails = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
+    for ids, values in groups:
+        at, k = np.flatnonzero(values[1:] == values[:-1]), 1
+        while at.size:
+            a, b = ids.take(at), ids.take(at + k)
+            near = np.bitwise_count(rows.take(a, axis=0) ^ rows.take(b, axis=0)).sum(axis=1) <= t
+            heads.append(a[near])
+            tails.append(b[near])
+            k += 1
+            at = at[values.take(at + k) == values.take(at)]
+    a, b = np.concatenate(heads), np.concatenate(tails)
+    keys = np.unique(np.minimum(a, b) * n + np.maximum(a, b))
     return keys // n, keys % n
 
 
-def _index_budget(n, words):
-    """Field collisions the index may check for the time the scan takes over
-    n reads of `words` 64-bit words (see greedy_cluster)."""
-    return n * (n - 1) / 2 * words / (96 + 8 * words)
+def _scan_words(t, words):
+    """Words the blocked scan sums per pair of reads of `words` words at
+    diameter t, the cost the index must undercut (see _scanned_seeds)."""
+    return min(words, 2 * t // 64 + 1)
 
 
-def _field_masks(length, words, fields):
-    """The pigeonhole fields, `fields` disjoint sets of the L read bits, each
-    inside one 64-bit word, as (word, mask) pairs; and the chance that two
-    random reads agree on one of them, the sum of 2^-width.
-
-    Fields go one at a time to the word where an even split raises that
-    chance least, so they are as wide and as even as the words allow. The
-    padding bits, zero in every read, belong to no field.
-    """
-    valid = np.zeros(8 * words, dtype=np.uint8)
-    valid[: -(-length // 8)] = np.packbits(np.ones(length, dtype=np.uint8))
-    bits = [[i for i in range(64) if w >> i & 1] for w in valid.view(np.uint64).tolist()]
-
-    def chance(size, parts):
-        q, r = divmod(size, parts)  # r fields of q + 1 bits, the rest of q
-        return (parts - r) * 2.0**-q + r * 2.0 ** -(q + 1)
-
-    parts = [0] * words
-    heap = [(chance(len(b), 1), w) for w, b in enumerate(bits) if b]
-    heapq.heapify(heap)
-    for _ in range(fields):
-        _, w = heapq.heappop(heap)
-        parts[w] += 1
-        if parts[w] < len(bits[w]):
-            rise = chance(len(bits[w]), parts[w] + 1) - chance(len(bits[w]), parts[w])
-            heapq.heappush(heap, (rise, w))
-    masks = []
-    for w, k in enumerate(parts):
-        for f in range(k):
-            cut = bits[w][len(bits[w]) * f // k:len(bits[w]) * (f + 1) // k]
-            masks.append((w, np.uint64(sum(1 << i for i in cut))))
-    return masks, sum(chance(len(b), k) for b, k in zip(bits, parts) if k)
+def _fields(length, fields):
+    """The pigeonhole fields, an even cut of the L read bits into `fields`
+    runs of floor(L / fields) bits or one more, at most _FIELD_BITS, as
+    (word, shift, mask): words `word` and `word + 1` read as one 128-bit
+    window, shifted right and masked. Runs are cut in the words' bit order,
+    where a partial last byte has 8 - L % 8 padding bits below its valid
+    ones; the field across them leaves them out of its mask."""
+    full, gap = length - length % 8, -length % 8  # bits in whole bytes; the gap
+    q, r = divmod(length, fields)
+    cut, start = [], 0
+    for f in range(fields):
+        stop = start + min(q + (f < r), _FIELD_BITS)
+        first, last = start + gap * (start >= full), stop - 1 + gap * (stop > full)
+        mask = (1 << (last - first + 1)) - 1
+        if start < full < stop:
+            mask ^= ((1 << gap) - 1) << (full - first)
+        cut.append((first // 64, first % 64, mask))
+        start = stop
+    return cut
 
 
 def _flattened(clusters):

@@ -251,6 +251,22 @@ def _saturation(p):
     return math.floor(2.0 * math.log(2.0**-54 * math.log(2.0)) / log_z2) + 1 if log_z2 else math.inf
 
 
+# OpenBLAS splits a 1-D dot of more than this many entries over its own
+# threads, so the summation order, and with it the bits, would follow
+# OPENBLAS_NUM_THREADS.
+_DOT_SLICE = 10_000
+
+
+def _mixture(pmf, values):
+    """pmf . values as in-order np.dot slices of at most _DOT_SLICE entries,
+    each summed on the calling thread: the same bits for any OpenBLAS thread
+    count. Up to _DOT_SLICE entries it is np.dot itself."""
+    total = 0.0
+    for i in range(0, pmf.size, _DOT_SLICE):
+        total += float(np.dot(pmf[i:i + _DOT_SLICE], values[i:i + _DOT_SLICE]))
+    return total
+
+
 @lru_cache(maxsize=None)
 def _capacity_cached(d, p):
     """C_d = 1 + sum_i b_i log2(b_i / (b_i + b_(d-i))), b the Binomial(d, p)
@@ -262,8 +278,8 @@ def _capacity_cached(d, p):
         return 1.0
     i = np.arange(d + 1)
     b = _binom_pmf(d, p)
-    loss = np.dot(b, np.logaddexp(0.0, (d - 2 * i) * math.log(p / (1.0 - p))))
-    return min(max(1.0 - float(loss) / math.log(2.0), 0.0), 1.0)
+    loss = _mixture(b, np.logaddexp(0.0, (d - 2 * i) * math.log(p / (1.0 - p))))
+    return min(max(1.0 - loss / math.log(2.0), 0.0), 1.0)
 
 
 def _clip_draws(d, p):

@@ -29,6 +29,7 @@ from .multidraw import (  # noqa: F401
     _clip_draws,
     _gate,
     _log_poisson_pmf,
+    _mixture,
     binary_entropy,
     capacity_table,
     check_crossover,
@@ -229,22 +230,6 @@ def _capacity_terms(params, tail_eps):
 
 # ---------------------------------------------------------------------------
 # Capacity and per-block capacities
-
-# OpenBLAS splits a 1-D dot of more than this many entries over its own
-# threads, so the summation order, and with it the bits, would follow
-# OPENBLAS_NUM_THREADS.
-_DOT_SLICE = 10_000
-
-
-def _mixture(pmf, values):
-    """pmf . values as in-order np.dot slices of at most _DOT_SLICE entries,
-    each summed on the calling thread: the same bits for any OpenBLAS thread
-    count. Up to _DOT_SLICE entries it is np.dot itself."""
-    total = 0.0
-    for i in range(0, pmf.size, _DOT_SLICE):
-        total += float(np.dot(pmf[i:i + _DOT_SLICE], values[i:i + _DOT_SLICE]))
-    return total
-
 
 def channel_capacity(params, tail_eps=1e-12):
     """Capacity per stored bit of the pooled-strand channel.
@@ -674,7 +659,7 @@ def optimize_scheme(
     for d0, r_ix in zip(*_index_levels(ctab, params.beta, epsilon)):
         gtab = _gate(ctab, r_ix)
         gain = 1.0 - params.beta / r_ix
-        if best is not None and np.dot(mean_hist, gtab) / K * gain * (1.0 + 1e-12) < best[0]:
+        if best is not None and _mixture(mean_hist, gtab) / K * gain * (1.0 + 1e-12) < best[0]:
             continue
         values = _type_means(gtab, types, K) if use_exact else _hist_means(counts, gtab, K)
         r_in, r_out = _best_inner_rate(values, weights, total)

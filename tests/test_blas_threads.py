@@ -1,11 +1,12 @@
-"""The capacity mixtures give the same bits for any OpenBLAS thread count.
+"""Every dot product gives the same bits for any OpenBLAS thread count.
 
 OpenBLAS runs a 1-D dot of more than 10,000 entries on its own threads, and
 their number sets the order of the sum. The mixtures in `channel_capacity`
-and `mean_gated_capacity` reach that length from c of about 9,300, so they
-are summed as in-order slices of at most 10,000 entries. Each thread count
-needs a fresh interpreter: OpenBLAS reads OPENBLAS_NUM_THREADS when numpy
-loads it.
+and `mean_gated_capacity` reach that length from c of about 9,300, and a
+capacity level's binomial sum from d = 10,000. So every dot in the package
+goes through `multidraw._mixture`, which sums in-order slices of at most
+10,000 entries. Each thread count needs a fresh interpreter: OpenBLAS reads
+OPENBLAS_NUM_THREADS when numpy loads it.
 """
 
 import os
@@ -17,13 +18,14 @@ import numpy as np
 import pytest
 
 import dnarate
-from dnarate import rates
+from dnarate import multidraw
 
 SCRIPT = """
-from dnarate import ChannelParams, channel_capacity, mean_gated_capacity
+from dnarate import ChannelParams, channel_capacity, mean_gated_capacity, multi_draw_capacity
 for c in (1e4, 3e4):
     params = ChannelParams(c, 0.05, 0.1)
     print(repr(channel_capacity(params)), repr(mean_gated_capacity(params, 0.5)))
+print(repr(multi_draw_capacity(10_001, 0.49)))  # 10,002 binomial terms
 """
 
 
@@ -47,4 +49,4 @@ def test_same_bits_under_one_and_two_openblas_threads():
 def test_short_mixtures_are_one_dot(size):
     rng = np.random.default_rng(size)
     pmf, values = rng.random(size), rng.random(size)
-    assert rates._mixture(pmf, values) == float(np.dot(pmf, values))
+    assert multidraw._mixture(pmf, values) == float(np.dot(pmf, values))

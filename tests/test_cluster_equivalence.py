@@ -6,7 +6,7 @@ return the same clusters, in the same order, with the same members. The scan
 sees every read, duplicates included, so it also checks that clustering the
 distinct reads once gives the rule's clusters. Both of greedy_cluster's pair
 sources are checked: `sources` records which one each call took, and
-`forced_index` lifts the index's collision budget, so the pigeonhole index
+`forced_index` prices the scan at infinity, so the pigeonhole index
 also runs where its cost rule would take the scan.
 """
 
@@ -105,26 +105,26 @@ def sources():
     """Records, per greedy_cluster call, whether the pigeonhole index listed
     the pairs, and counts the calls that cut the bits into fields to sort."""
     seen = {"index": [], "fields": 0}
-    pairs, masks = decoder._indexed_pairs, decoder._field_masks
+    pairs, fields = decoder._indexed_pairs, decoder._fields
 
     def spy_pairs(*args):
         found = pairs(*args)
         seen["index"].append(found is not None)
         return found
 
-    def spy_masks(*args):
+    def spy_fields(*args):
         seen["fields"] += 1
-        return masks(*args)
+        return fields(*args)
 
     with mock.patch.object(decoder, "_indexed_pairs", spy_pairs), \
-            mock.patch.object(decoder, "_field_masks", spy_masks):
+            mock.patch.object(decoder, "_fields", spy_fields):
         yield seen
 
 
 def forced_index():
-    """Lifts the index's collision budget, so the index runs whenever t + 1
-    fields fit in the read."""
-    return mock.patch.object(decoder, "_index_budget", lambda n, words: math.inf)
+    """Prices the scan at infinity, so the index runs whenever t + 1 fields
+    fit in the read."""
+    return mock.patch.object(decoder, "_scan_words", lambda t, words: math.inf)
 
 
 def assert_same(output, rho):
@@ -306,23 +306,65 @@ def test_index_path_matches_reference_scan(length, p, t_frac, strands, c, seed):
     assert seen["index"] == [int(rho * length) + 1 <= length]
 
 
+def valid_words(length):
+    """The valid bits of an L-bit read as 64-bit words; padding bits zero."""
+    packed = np.zeros(-(-length // 64) * 8, dtype=np.uint8)
+    packed[: -(-length // 8)] = np.packbits(np.ones(length, dtype=np.uint8))
+    return packed.view(np.uint64)
+
+
+def field_bits(field):
+    """Positions, 64 per word, of the bits a (word, shift, mask) field reads."""
+    word, shift, mask = field
+    return {64 * word + shift + j for j in range(mask.bit_length()) if mask >> j & 1}
+
+
+@pytest.mark.parametrize("length", [1, 7, 8, 9, 63, 64, 65, 120, 127, 240, 241, 255, 320, 481])
+def test_fields_are_an_even_cut_of_the_valid_bits(length):
+    words = valid_words(length).tolist()
+    valid = {bit for bit in range(64 * len(words)) if words[bit // 64] >> bit % 64 & 1}
+    for fields in range(1, length + 1):
+        q = length // fields
+        cut = decoder._fields(length, fields)
+        assert len(cut) == fields
+        seen = set()
+        for field in cut:
+            bits = field_bits(field)
+            assert not bits & seen and bits <= valid
+            assert len(bits) in {min(q, 57), min(q + 1, 57)}
+            assert field[2] & 1 and field[2].bit_length() <= 64  # its span
+            seen |= bits
+        assert len(seen) == min(length, 57 * fields)
+
+
+@pytest.mark.parametrize("t", [*range(1, 20), 24, 31, 32, 72, 239])
+def test_cost_rule_at_240_bits_takes_the_index_up_to_17(t):
+    # Random reads, whose collisions stay near chance: the rule alone decides.
+    rng = np.random.default_rng(t)
+    reads = rng.integers(0, 2**63, size=(300, 4)).astype(np.uint64)
+    with sources() as seen:
+        assert_same(packed_output(reads, 240), (t + 0.5) / 240)
+    assert seen == ({"index": [True], "fields": 1} if t <= 17 else {"index": [False], "fields": 0})
+
+
 class TestPigeonholeIndex:
     # 400 random reads of L = 240 bits, four words, no padding; t = 12, so
-    # the index cuts 13 fields of 16 to 22 bits.
+    # the index cuts 13 fields of 18 or 19 bits, three across word edges.
     length, rho = 240, 12.5 / 240
 
     def reads(self):
         rng = np.random.default_rng(11)
-        return rng.integers(0, 2**63, size=(400, 4)).astype(np.uint64)
+        reads = rng.integers(0, 2**63, size=(400, 4)).astype(np.uint64)
+        return reads[:, : -(-self.length // 64)] & valid_words(self.length)
 
     def fields(self):
-        return decoder._field_masks(self.length, 4, 13)[0]
+        return decoder._fields(self.length, 13)
 
-    def flipped(self, row, masks):
-        """row with the lowest bit of each field in masks flipped."""
+    def flipped(self, row, bits):
+        """row with the given bit positions flipped."""
         row = row.copy()
-        for word, mask in masks:
-            row[word] ^= mask & (~mask + np.uint64(1))
+        for bit in bits:
+            row[bit // 64] ^= np.uint64(1 << bit % 64)
         return row
 
     def cluster(self, reads):
@@ -331,27 +373,26 @@ class TestPigeonholeIndex:
         assert seen["index"] == [True]
         return {m: c.members for c in clusters for m in c.members}
 
-    def test_fields_cover_the_bits_as_evenly_as_the_words_allow(self):
-        # Words 0-2 hold 64 bits and word 3 the last 48: four fields of 16
-        # bits in word 0, three of 21 or 22 in words 1 and 2, three of 16 in
-        # word 3.
-        masks = [(w, int(m)) for w, m in self.fields()]
-        assert [(w, m.bit_count()) for w, m in masks] == (
-            [(0, 16)] * 4 + [(1, 21), (1, 21), (1, 22), (2, 21), (2, 21), (2, 22)] + [(3, 16)] * 3)
-        for w, top in enumerate([64, 64, 64, 48]):
-            in_word = [m for word, m in masks if word == w]
-            assert sum(in_word) == 2**top - 1 and sum(m.bit_count() for m in in_word) == top
+    def test_fields_cross_word_edges_and_the_padding_gap(self):
+        cut = self.fields()
+        assert sum(shift + mask.bit_length() > 64 for _, shift, mask in cut) == 3
+        gapped = [mask.bit_length() - mask.bit_count() for _, _, mask in cut]
+        assert gapped == [0] * 12 + [-self.length % 8]
 
     def test_pair_at_exactly_t_bits_joins(self):
-        # One difference in each of t fields: they agree on the last one only.
-        reads = self.reads()
-        reads[250] = self.flipped(reads[100], self.fields()[:12])
-        assert self.cluster(reads)[100] == (100, 250)
+        # One difference in each field but one, for each field in turn: the
+        # pair agrees on that field only.
+        cut = self.fields()
+        for keep in range(len(cut)):
+            reads = self.reads()
+            lowest = [min(field_bits(f)) for k, f in enumerate(cut) if k != keep]
+            reads[250] = self.flipped(reads[100], lowest)
+            assert self.cluster(reads)[100] == (100, 250)
 
     def test_pair_at_t_plus_one_bits_stays_apart(self):
         # One difference in each of the t + 1 fields: no field is shared.
         reads = self.reads()
-        reads[250] = self.flipped(reads[100], self.fields())
+        reads[250] = self.flipped(reads[100], [min(field_bits(f)) for f in self.fields()])
         label = self.cluster(reads)
         assert label[100] == (100,) and label[250] == (250,)
 
@@ -359,16 +400,13 @@ class TestPigeonholeIndex:
         # The pair collides in the first field but differs in every bit of
         # the others; the distance check drops it.
         reads = self.reads()
-        far = reads[100].copy()
-        for word, mask in self.fields()[1:]:
-            far[word] ^= mask
-        reads[250] = far
+        reads[250] = self.flipped(reads[100], set().union(*map(field_bits, self.fields()[1:])))
         label = self.cluster(reads)
         assert label[100] == (100,) and label[250] == (250,)
 
     def test_copies_of_earlier_reads(self):
         reads = self.reads()
-        reads[250] = self.flipped(reads[100], self.fields()[:5])
+        reads[250] = self.flipped(reads[100], [min(field_bits(f)) for f in self.fields()[:5]])
         reads[[260, 300, 399]] = reads[[100, 250, 3]]
         label = self.cluster(reads)
         assert label[100] == (100, 250, 260, 300) and label[3] == (3, 399)
@@ -386,22 +424,21 @@ class TestPigeonholeIndex:
     @pytest.mark.parametrize("length", [1, 3, 10])
     def test_too_few_bits_for_the_fields_take_the_scan(self, length):
         # At rho = 1, t = L: t + 1 fields of one bit or more need more bits
-        # than the read has, whatever the budget.
+        # than the read has, whatever the cost.
         rng = np.random.default_rng(length)
         with forced_index(), sources() as seen:
             assert_same(bits_output(rng.integers(0, 2, size=(50, length))), 1.0)
         assert seen == {"index": [False], "fields": 0}
 
     def test_colliding_fields_take_the_scan_in_its_memory(self):
-        # Reads equal outside one field: every pair collides in the other 12
-        # fields. The collision count passes the budget in the second field
+        # Reads equal outside the first field: every pair collides in the
+        # other 12. The collision count passes the guard in the second field
         # sorted, before any pair is built, and the scan runs. Its 64-row
         # buffers (about 1.4 MB here) bound the peak.
         rng = np.random.default_rng(12)
-        word, mask = self.fields()[0]
         reads = np.tile(self.reads()[0], (2000, 1))
-        reads[:, word] = (reads[:, word] & ~mask) | (
-            rng.integers(0, 2**63, 2000).astype(np.uint64) & mask)
+        for bit in field_bits(self.fields()[0]):
+            reads[:, bit // 64] ^= rng.integers(0, 2, 2000).astype(np.uint64) << np.uint64(bit % 64)
         out = packed_output(reads, self.length)
         config = ClusteringConfig(rho=self.rho)
         with sources() as seen:
@@ -411,6 +448,12 @@ class TestPigeonholeIndex:
         with mock.patch.object(decoder, "_indexed_pairs", lambda rows, t, length: None):
             scan_peak, _ = traced_peak(greedy_cluster, out, config)
         assert peak <= scan_peak + 64 * 1024
+
+
+class TestPigeonholeIndexAcrossThePaddingGap(TestPigeonholeIndex):
+    # L = 241: the last byte holds one valid bit above a 7-bit padding gap,
+    # and the last of the 13 fields (18 bits) reads across it.
+    length, rho = 241, 12.5 / 241
 
 
 def count_fibers(output):
