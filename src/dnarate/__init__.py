@@ -58,6 +58,7 @@ from .channel import (
 from .decoder import (
     BudgetError,
     Cluster,
+    Clustering,
     ClusteringConfig,
     DecodeReport,
     IndexDecodeResult,

@@ -11,6 +11,7 @@ the channel and the scheme thresholds without constructing codebooks.
 
 import itertools
 import warnings
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,7 @@ from .seeding import _check_threads, _map_chunks, derive_seed
 __all__ = [
     "ClusteringConfig",
     "Cluster",
+    "Clustering",
     "DecodeReport",
     "IndexDecodeResult",
     "InnerDecodeResult",
@@ -96,6 +98,63 @@ class Cluster:
         return len(self.members)
 
 
+class Clustering(Sequence):
+    """A read-only sequence of Clusters held as two int64 arrays: `sizes`,
+    one per cluster in order, and `members`, every cluster's read indices
+    one cluster after another.
+
+    The stage functions read the arrays; the Cluster objects (members as
+    Python ints) are built only when the sequence is first indexed or
+    iterated, then kept. A slice is a list of Clusters, and a Clustering
+    equals the list of the same Clusters, compared either way round.
+    """
+
+    __slots__ = ("sizes", "members", "_clusters")
+
+    def __init__(self, sizes, members):
+        sizes, members = _index_array(sizes, "sizes"), _index_array(members, "members")
+        if (sizes < 0).any() or sizes.sum() != members.size:
+            raise ValueError(f"cluster sizes must be non-negative and sum to the "
+                             f"{members.size} members, got sum {sizes.sum()}")
+        sizes.flags.writeable = members.flags.writeable = False
+        self.sizes, self.members, self._clusters = sizes, members, None
+
+    def _built(self):
+        if self._clusters is None:
+            flat, ends = self.members.tolist(), np.cumsum(self.sizes).tolist()
+            self._clusters = [Cluster(members=tuple(flat[start:end]))
+                              for start, end in zip([0, *ends], ends)]
+        return self._clusters
+
+    def __len__(self):
+        return self.sizes.size
+
+    def __getitem__(self, index):
+        return self._built()[index]
+
+    def __iter__(self):
+        return iter(self._built())
+
+    def __eq__(self, other):
+        if isinstance(other, Clustering):
+            return (np.array_equal(self.sizes, other.sizes)
+                    and np.array_equal(self.members, other.members))
+        if isinstance(other, list):
+            return self._built() == other
+        return NotImplemented
+
+    def __repr__(self):
+        return f"Clustering({len(self)} clusters of {self.members.size} reads)"
+
+
+def _index_array(values, name):
+    """A fresh int64 copy of a one-dimensional array of integers."""
+    values = np.asarray(values)
+    if values.ndim != 1 or (values.size and values.dtype.kind not in "iu"):
+        raise ValueError(f"{name} must be a one-dimensional array of integers")
+    return values.astype(np.int64)
+
+
 @dataclass(frozen=True)
 class DecodeReport:
     """Counters of one pipeline trial.
@@ -118,8 +177,8 @@ class IndexDecodeResult:
     """Outcome of oracle index decoding.
 
     draws[i] is the size of the cluster assigned to strand i (0 when no
-    cluster claimed it); assignments maps cluster position in the input list
-    to the decoded strand index.
+    cluster claimed it); assignments maps cluster position in the input
+    sequence to the decoded strand index.
     """
 
     draws: np.ndarray
@@ -158,7 +217,9 @@ _COLLISION_COST = (-100, 125)
 
 
 def greedy_cluster(output, config):
-    """Group reads into maximal clusters of diameter at most rho*L.
+    """Group reads into maximal clusters of diameter at most rho*L, returned
+    as a Clustering: clusters in seed order, members ascending. The stage
+    functions read its arrays, so a trial builds no Cluster object.
 
     The rule: in read-index order, the first unassigned read seeds a cluster,
     and every later unassigned read joins iff its distance to every current
@@ -220,12 +281,7 @@ def greedy_cluster(output, config):
     labels[order] = _greedy_labels(padded.view(np.uint64)[first[order]], t, span, output.length)
     labels = labels[inverse]  # per read
     # Stable by label: members ascending, clusters in seed order.
-    members = np.argsort(labels, kind="stable").tolist()
-    ends = np.cumsum(np.bincount(labels)).tolist()
-    return [
-        Cluster(members=tuple(members[start:end]))
-        for start, end in zip([0, *ends], ends)
-    ]
+    return Clustering(np.bincount(labels), np.argsort(labels, kind="stable"))
 
 
 def _greedy_labels(rows, t, span, length):
@@ -485,7 +541,10 @@ def _fields(length, fields):
 
 
 def _flattened(clusters):
-    """Each cluster's size, and every member in cluster order, as arrays."""
+    """Each cluster's size, and every member in cluster order, as arrays: a
+    Clustering's own, or built from a list of Clusters."""
+    if isinstance(clusters, Clustering):
+        return clusters.sizes, clusters.members
     groups = [c.members for c in clusters]
     sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
     members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
@@ -515,7 +574,10 @@ def _clean_strands(sizes, members, output):
 
 def count_wrong_clusters(clusters, output):
     """Count clusters that are not exactly the full read set of one strand.
-    The clusters must partition the reads: each read in exactly one."""
+    The clusters must partition the reads: each read in exactly one.
+
+    `clusters` is a Clustering, whose arrays are read as they are, or a list
+    of Clusters, flattened first; both are checked the same way."""
     sizes, members = _flattened(clusters)
     inside = members[(members >= 0) & (members < output.N)]
     covers = np.bincount(inside, minlength=output.N)
@@ -534,6 +596,10 @@ def oracle_index_decode(clusters, output, params, r_ix):
     iff it is clean, i.e. exactly one strand's full read set; corrupted
     clusters count as wrong index decodings and are discarded. Should two
     clusters ever claim the same index, all its claimants are dropped.
+
+    `clusters` is a Clustering, whose arrays are read as they are, or a list
+    of Clusters, flattened first; either way every member must be a read
+    index in [0, N).
     """
     m = output.pool_size
     sizes, members = _flattened(clusters)

@@ -386,17 +386,28 @@ class TestSimulate:
         assert code == 5
         assert "budget" in err and "try M" in err
 
-    def test_thread_count_does_not_change_bytes(self, capsys, tmp_path):
+    # The clean point at p = 0, where the pigeonhole index lists the near pairs.
+    CLEAN = ["simulate", "--c", "3", "--beta", "0.05", "--p", "0",
+             "--K", "4", "--rix", "0.9", "--rin", "0.9", "--rout", "0.7",
+             "--M", "512", "--seed", "1"]
+
+    def assert_threads_give_the_same_bytes(self, capsys, tmp_path, args):
         bodies = []
         for threads in ("1", "2", "8"):
             path = tmp_path / f"sim{threads}.csv"
             code, _, _ = run(
                 capsys,
-                [*self.ARGS, "--trials", "4", "--threads", threads, "--out", str(path)],
+                [*args, "--trials", "4", "--threads", threads, "--out", str(path)],
             )
             assert code == 0
             bodies.append(path.read_bytes())
         assert bodies[0] == bodies[1] == bodies[2]
+
+    def test_thread_count_does_not_change_bytes(self, capsys, tmp_path):
+        self.assert_threads_give_the_same_bytes(capsys, tmp_path, self.ARGS)
+
+    def test_thread_count_does_not_change_bytes_at_the_clean_point(self, capsys, tmp_path):
+        self.assert_threads_give_the_same_bytes(capsys, tmp_path, self.CLEAN)
 
 
 class TestReplay:

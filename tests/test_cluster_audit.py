@@ -2,7 +2,8 @@
 
 The reference functions below look at one cluster at a time, the way the
 decoder did before it audited every cluster in one vectorised pass. Both must
-agree on hand-built cluster lists that greedy clustering would never return.
+agree on hand-built cluster lists that greedy clustering would never return,
+given as lists of Clusters and as Clusterings of the same clusters.
 """
 
 import itertools
@@ -13,6 +14,7 @@ import pytest
 from dnarate import (
     ChannelParams,
     Cluster,
+    Clustering,
     InstanceDims,
     count_wrong_clusters,
     gated_capacity_table,
@@ -78,17 +80,23 @@ def origins_output(origins, pool_size):
     )
 
 
+def as_clustering(clusters):
+    """The same clusters as a Clustering's arrays."""
+    return Clustering([c.size for c in clusters], [r for c in clusters for r in c.members])
+
+
 def assert_audit_matches(clusters, output, r_ix=R_IX):
-    got = oracle_index_decode(clusters, output, PARAMS, r_ix)
     draws, assignments, m_wrong = reference_index_decode(clusters, output, PARAMS, r_ix)
-    assert got.draws.dtype == np.int64
-    assert got.draws.tolist() == draws.tolist()
-    assert list(got.assignments.items()) == list(assignments.items())
-    assert all(type(k) is int and type(v) is int for k, v in got.assignments.items())
-    assert type(got.m_wrong_index) is int and got.m_wrong_index == m_wrong
-    if sum(c.size for c in clusters) == output.N:
-        wrong = count_wrong_clusters(clusters, output)
-        assert type(wrong) is int and wrong == reference_count_wrong(clusters, output)
+    for form in (clusters, as_clustering(clusters)):
+        got = oracle_index_decode(form, output, PARAMS, r_ix)
+        assert got.draws.dtype == np.int64
+        assert got.draws.tolist() == draws.tolist()
+        assert list(got.assignments.items()) == list(assignments.items())
+        assert all(type(k) is int and type(v) is int for k, v in got.assignments.items())
+        assert type(got.m_wrong_index) is int and got.m_wrong_index == m_wrong
+        if sum(c.size for c in clusters) == output.N:
+            wrong = count_wrong_clusters(form, output)
+            assert type(wrong) is int and wrong == reference_count_wrong(clusters, output)
     return got
 
 
@@ -180,9 +188,10 @@ def test_partition_check_message(n, clusters):
     output = origins_output(FIBRES[:n], pool_size=5)
     clusters = [Cluster(members) for members in clusters]
     expected = reference_partition_error(clusters, n)
-    with pytest.raises(ValueError) as refused:
-        count_wrong_clusters(clusters, output)
-    assert str(refused.value) == expected
+    for form in (clusters, as_clustering(clusters)):
+        with pytest.raises(ValueError) as refused:
+            count_wrong_clusters(form, output)
+        assert str(refused.value) == expected
 
 
 @pytest.mark.parametrize("clusters, wrong", [([], 0), ([()], 1), ([(), ()], 2)])
@@ -191,21 +200,26 @@ def test_partition_of_no_reads(clusters, wrong):
     clusters = [Cluster(members) for members in clusters]
     assert reference_partition_error(clusters, 0) is None
     assert count_wrong_clusters(clusters, output) == wrong
+    assert count_wrong_clusters(as_clustering(clusters), output) == wrong
 
 
 def test_negative_member_refused():
     # Unchecked, a negative member wraps: with origins [0, 1, 1],
     # Cluster((-2, -1)) would decode as strand 1's read set.
     output = origins_output([0, 1, 1], pool_size=2)
-    with pytest.raises(ValueError, match=r"read indices in \[0, 3\), got -2 \.\. 0"):
-        oracle_index_decode([Cluster((0,)), Cluster((-2, -1))], output, PARAMS, R_IX)
+    clusters = [Cluster((0,)), Cluster((-2, -1))]
+    for form in (clusters, as_clustering(clusters)):
+        with pytest.raises(ValueError, match=r"read indices in \[0, 3\), got -2 \.\. 0"):
+            oracle_index_decode(form, output, PARAMS, R_IX)
 
 
 def test_member_past_the_reads_refused():
     # Unchecked, a member equal to N raises an IndexError.
     output = origins_output([0, 1, 1], pool_size=2)
-    with pytest.raises(ValueError, match=r"read indices in \[0, 3\), got 0 \.\. 3"):
-        oracle_index_decode([Cluster((0,)), Cluster((1, 2, 3))], output, PARAMS, R_IX)
+    clusters = [Cluster((0,)), Cluster((1, 2, 3))]
+    for form in (clusters, as_clustering(clusters)):
+        with pytest.raises(ValueError, match=r"read indices in \[0, 3\), got 0 \.\. 3"):
+            oracle_index_decode(form, output, PARAMS, R_IX)
 
 
 @pytest.mark.parametrize("seed", range(6))

@@ -1,6 +1,8 @@
+import contextlib
 import math
 import re
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -9,7 +11,9 @@ from dnarate import (
     BudgetError,
     ChannelParams,
     Cluster,
+    Clustering,
     ClusteringConfig,
+    DecodeReport,
     InstanceDims,
     SchemeParams,
     achievable_outer_rate_exact,
@@ -34,6 +38,9 @@ from dnarate.channel import ChannelOutput, pack_bits
 C1 = multi_draw_capacity(1, 0.1)
 C2 = multi_draw_capacity(2, 0.1)
 PARAMS = ChannelParams(c=2, beta=0.05, p=0.1)
+# The clean point at p = 0, where the pigeonhole index lists the near pairs.
+PARAMS0 = ChannelParams(c=3, beta=0.05, p=0.0)
+SCHEME0 = SchemeParams(K=4, r_ix=0.9, r_in=0.9, r_out=0.7)
 
 
 def make_output(bit_rows, origins, pool_size):
@@ -127,6 +134,83 @@ class TestGreedyCluster:
         out = simulate_channel(random_pool(dims, 5), PARAMS, 6)
         for c in greedy_cluster(out, ClusteringConfig(rho=0.25)):
             assert list(c.members) == sorted(c.members)
+
+
+class TestClustering:
+    def _noisy(self):
+        dims = InstanceDims.from_channel(PARAMS, 128)
+        out = simulate_channel(random_pool(dims, 3), PARAMS, 4)
+        return out, ClusteringConfig(rho=0.2)
+
+    def test_sequence_of_clusters(self):
+        got = greedy_cluster(*self._noisy())
+        assert isinstance(got, Clustering)
+        clusters = list(got)
+        assert len(got) == len(clusters) == got.sizes.size > 3
+        assert all(isinstance(c, Cluster) for c in clusters)
+        assert got[0] == clusters[0] and got[-1] == clusters[-1] == got[len(got) - 1]
+        assert got[-len(got)] == clusters[0]
+        with pytest.raises(IndexError):
+            got[len(got)]
+        assert got[1:3] == clusters[1:3] and type(got[1:3]) is list
+        assert got[::-1] == clusters[::-1]
+        assert list(got) == clusters  # iterated twice
+        assert [c.size for c in got] == got.sizes.tolist()
+
+    def test_equal_to_the_list_both_ways(self):
+        got = greedy_cluster(*self._noisy())
+        clusters = list(got)
+        assert got == clusters and clusters == got
+        assert not got != clusters and not clusters != got
+        swapped = [clusters[1], clusters[0], *clusters[2:]]
+        assert got != swapped and swapped != got
+        assert not got == swapped and not swapped == got
+        assert got != clusters[:-1] and clusters[:-1] != got
+        assert got == Clustering(got.sizes, got.members)
+        assert got != Clustering(got.sizes[::-1], got.members)
+
+    def test_members_are_ascending_python_ints(self):
+        got = greedy_cluster(*self._noisy())
+        assert got.sizes.dtype == got.members.dtype == np.int64
+        for c in got:
+            assert all(type(r) is int for r in c.members)
+            assert list(c.members) == sorted(c.members)
+        assert sorted(got.members.tolist()) == list(range(got.members.size))
+        with pytest.raises(ValueError):
+            got.members[0] = 1  # read-only
+
+    def test_stages_read_the_arrays_as_they_read_the_list(self):
+        out, config = self._noisy()
+        got = greedy_cluster(out, config)
+        wrong = count_wrong_clusters(got, out)
+        index = oracle_index_decode(got, out, PARAMS, 0.5304)
+        clusters = list(greedy_cluster(out, config))
+        assert wrong == count_wrong_clusters(clusters, out) > 0
+        listed = oracle_index_decode(clusters, out, PARAMS, 0.5304)
+        assert index.draws.tolist() == listed.draws.tolist()
+        assert index.assignments == listed.assignments
+        assert index.m_wrong_index == listed.m_wrong_index > 0
+
+    def test_empty(self):
+        out = make_output(np.zeros((0, 8)), [], pool_size=2)
+        got = greedy_cluster(out, ClusteringConfig(rho=0.25))
+        assert len(got) == 0 and got == [] and [] == got and list(got) == []
+        assert count_wrong_clusters(got, out) == 0
+        assert oracle_index_decode(got, out, PARAMS, 0.5304).draws.tolist() == [0, 0]
+
+    @pytest.mark.parametrize("sizes, members", [
+        ([2], [0, 1, 2]),
+        ([2, 2], [0, 1, 2]),
+        ([-1, 2], [0]),
+        ([[1]], [0]),
+        ([1], [[0]]),
+        ([1], [0.5]),
+        (1, [0]),
+    ], ids=["more members", "fewer members", "negative size", "2-D sizes", "2-D members",
+            "float member", "scalar sizes"])
+    def test_inconsistent_arrays_refused(self, sizes, members):
+        with pytest.raises(ValueError):
+            Clustering(sizes, members)
 
 
 class TestCountWrongClusters:
@@ -309,6 +393,40 @@ class TestDecode:
 
 
 class TestRunPipeline:
+    # Two trials each at M = 512, seed 7; the noisy point at its default
+    # diameter, where some clusters are wrong.
+    REPORTS = {
+        "noisy": [(14, 14, 0, 196, 112, False), (11, 11, 0, 188, 88, False)],
+        "clean": [(0, 0, 0, 80, 0, True), (0, 0, 0, 84, 0, True)],
+    }
+
+    @pytest.mark.parametrize("point", ["noisy", "clean"])
+    def test_trials_build_no_cluster(self, monkeypatch, point):
+        class NoCluster:
+            def __init__(self, *args, **kwargs):
+                raise AssertionError("a Cluster was built")
+
+        params, scheme = {"noisy": (PARAMS, TestDecode.SCHEME), "clean": (PARAMS0, SCHEME0)}[point]
+        monkeypatch.setattr(decoder_module, "Cluster", NoCluster)
+        expected = tuple(DecodeReport(*r) for r in self.REPORTS[point])
+        for threads in (1, 2):
+            assert run_pipeline(params, scheme, 512, 2, seed=7, threads=threads).reports == expected
+        dims = InstanceDims.from_channel(params, 512, scheme.K)
+        output = decoder_module._trial_output(params, dims, 7, 1)
+        assert decode(output, params, scheme) == expected[1]
+
+    def test_each_stage_called_through_the_module_once_per_trial(self):
+        # Wrappers of these module globals see every trial's stages: a stage
+        # called any other way would slip past them.
+        names = ["random_pool", "simulate_channel", "greedy_cluster", "count_wrong_clusters",
+                 "oracle_index_decode", "oracle_inner_decode", "outer_success"]
+        with contextlib.ExitStack() as stack:
+            spies = {name: stack.enter_context(mock.patch.object(
+                decoder_module, name, wraps=getattr(decoder_module, name))) for name in names}
+            result = run_pipeline(PARAMS0, SCHEME0, 256, 3, seed=5)
+        assert {name: spy.call_count for name, spy in spies.items()} == dict.fromkeys(names, 3)
+        assert result == run_pipeline(PARAMS0, SCHEME0, 256, 3, seed=5)
+
     def test_deterministic(self):
         scheme = SchemeParams(K=2, r_ix=0.5304, r_in=0.4, r_out=0.8)
         a = run_pipeline(PARAMS, scheme, 256, 2, seed=1)
@@ -319,6 +437,11 @@ class TestRunPipeline:
         scheme = SchemeParams(K=2, r_ix=0.5304, r_in=0.4, r_out=0.8)
         a = run_pipeline(PARAMS, scheme, 256, 3, seed=2, threads=1)
         b = run_pipeline(PARAMS, scheme, 256, 3, seed=2, threads=3)
+        assert a == b
+
+    def test_thread_invariance_at_the_clean_point(self):
+        a = run_pipeline(PARAMS0, SCHEME0, 512, 4, seed=3, threads=1)
+        b = run_pipeline(PARAMS0, SCHEME0, 512, 4, seed=3, threads=2)
         assert a == b
 
     @pytest.mark.parametrize("threads", [0, -2, 1.5, True])
