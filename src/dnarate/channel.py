@@ -39,8 +39,8 @@ MAGIC = b"DNAC"
 FORMAT_VERSION = 1
 _HEADER = struct.Struct("<4sHQQQ")
 
-# Unpacked bits of channel noise drawn per batch (8 MB of float64 uniforms).
-_NOISE_BATCH_BITS = 1 << 20
+# Unpacked bits of channel noise drawn per batch (1 MB of float64 uniforms).
+_NOISE_BATCH_BITS = 1 << 17
 
 
 def pack_bits(bits):

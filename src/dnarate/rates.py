@@ -65,10 +65,18 @@ __all__ = [
 MC_CHUNK = 65536
 # Upper-tail mass P(X > d) at which the Monte-Carlo sampling table is cut.
 _TABLE_TAIL = 1e-16
-# Table cells handled at once: histogram cells drawn within an MC chunk (only
-# tables wider than 64 entries, c above 18, split a chunk), or type-table
-# cells built, weighed or gathered.
+# Table cells handled at once: histogram cells drawn within an MC chunk (for
+# multinomial rows only tables wider than 64 entries, c above 18, split a
+# chunk), or type-table cells built, weighed or gathered.
 _HIST_CELLS = 1 << 22
+# Uniforms an alias-table MC batch draws at most. At 2^16 (1.6 MB of
+# temporaries) a batch runs as fast as larger ones, and malloc keeps less of
+# the freed batches resident in the worker threads' arenas: at 2^18 the
+# analysis benchmark's peak RSS rose from 303 to 314-320 MB.
+_ALIAS_DRAWS = 1 << 16
+# Bytes each of those draws holds at once: the uniform, its cell and the
+# cell's threshold (8 each), and the mask.
+_ALIAS_DRAW_BYTES = 25
 # Hard ceiling on exact enumeration, in type-table cells (types x stored columns).
 ENUM_CAP = 10**8
 # "auto" method switches to Monte-Carlo above this many type-table cells;
@@ -391,18 +399,81 @@ def _type_means(gtab, types, K):
     return means
 
 
+@lru_cache(maxsize=32)
+def _alias_table(masses):
+    """Walker's alias table (ACM TOMS 1977) of the law Generator.multinomial
+    draws from the float64 pmf whose bytes are `masses`: each cell's mass,
+    but the last cell takes the leftover 1 - sum of the others.
+
+    Returned as (top, cells): a uniform x in [0, W) lands in j = floor(x)
+    and takes cell cells[2j] = j when x < top[j], else cells[2j + 1], j's
+    alias. Vose's O(W) construction (IEEE TSE 1991), memoised per sampling
+    table; the cache is bounded like _poisson_table's."""
+    q = np.frombuffer(masses).copy()
+    q[-1] = max(0.0, 1.0 - math.fsum(q[:-1]))
+    W = q.size
+    scaled = (q * W).tolist()
+    keep, alias = [1.0] * W, list(range(W))
+    small = [j for j in range(W) if scaled[j] < 1.0]
+    large = [j for j in range(W) if scaled[j] >= 1.0]
+    while small and large:
+        lo, hi = small.pop(), large.pop()
+        keep[lo], alias[lo] = scaled[lo], hi
+        scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
+        (small if scaled[hi] < 1.0 else large).append(hi)
+    top = np.arange(W) + np.array(keep)
+    cells = np.stack([np.arange(W), np.array(alias)], axis=1).ravel()
+    top.flags.writeable = cells.flags.writeable = False
+    return top, cells
+
+
+def _alias_histograms(rng, table, K, rows):
+    """(rows, W) int64 histograms of K alias-table draws each: one uniform per
+    draw, read in row order, so consecutive calls continue one stream."""
+    top, cells = table
+    W = top.size
+    x = rng.random((rows, K))
+    x *= W
+    j = x.astype(np.intp)
+    moves = x >= top[j]
+    del x
+    j <<= 1
+    j += moves  # one gather picks j or its alias, with no branch per draw
+    drawn = cells[j]
+    drawn += np.arange(0, rows * W, W)[:, None]  # row r counts into cells r*W + j
+    return np.bincount(drawn.ravel(), minlength=rows * W).reshape(rows, W)
+
+
 def _type_batches(seed, chunk_index, n, K, pmf):
     """Draw-count histograms of one chunk's n sampled blocks, in row batches.
 
     Row j counts how many of block j's K i.i.d. draws take each value of the
-    tabulated Poisson law; it is one multinomial draw, so the cost is set by
-    the table's support, not by K. Batching bounds memory for wide tables and
-    leaves the chunk's variate stream unchanged.
+    tabulated Poisson law, of width W. A multinomial row walks the cells in
+    order, one binomial per cell until the K draws are placed, and each
+    binomial costs a set-up (a log and an exp) plus inversion steps that sum
+    to O(K). An alias-table row costs O(K) and no set-up. It is used when
+    K <= W, where it was 2-20 times faster at every point of BENCH_23.json's
+    grid; at K > W the rows stay multinomial, bit for bit those of earlier
+    versions. Either way rows follow multinomial(K, pmf), the leftover mass
+    in the last cell.
+
+    A multinomial batch holds at most _HIST_CELLS cells; an alias batch
+    draws at most _ALIAS_DRAWS uniforms, and so few that their temporaries,
+    _ALIAS_DRAW_BYTES each, take no more memory than the multinomial batch's
+    int64 cells. Batching leaves the chunk's variate stream unchanged.
     """
     rng = substream(seed, "outer-rate-mc", chunk_index)
-    rows = max(1, _HIST_CELLS // pmf.size)
+    W = pmf.size
+    rows = min(n, max(1, _HIST_CELLS // W))
+    if K > W:
+        for start in range(0, n, rows):
+            yield rng.multinomial(K, pmf, size=min(rows, n - start))
+        return
+    table = _alias_table(pmf.tobytes())
+    draws = min(_ALIAS_DRAWS, rows * W * 8 // _ALIAS_DRAW_BYTES)
+    rows = max(1, min(rows, draws // K))
     for start in range(0, n, rows):
-        yield rng.multinomial(K, pmf, size=min(rows, n - start))
+        yield _alias_histograms(rng, table, K, min(rows, n - start))
 
 
 def _hist_means(h, gtab, K):

@@ -451,21 +451,112 @@ class TestTypeSampler:
     def test_rows_are_multinomial(self):
         K, n = 7, 20_000
         pmf = rates._sampling_masses(2.0)
-        (h,) = rates._type_batches(11, 0, n, K, pmf)
+        h = np.vstack(list(rates._type_batches(11, 0, n, K, pmf)))
         assert h.shape == (n, len(pmf))
         assert np.all(h.sum(axis=1) == K)
         se = np.sqrt(K * pmf * (1 - pmf) / n)
         assert np.all(np.abs(h.mean(axis=0) - K * pmf) <= 5 * se)
 
     def test_batches_keep_the_chunk_stream(self):
-        # c = 50 tables are wide enough that one chunk is drawn in batches
-        K, n = 5, 65_536
+        # c = 50 tables are wide enough that one chunk is drawn in batches by
+        # either sampler: alias-table rows at K <= W = 119, multinomial beyond
+        n = 65_536
         pmf = rates._sampling_masses(50.0)
-        batches = list(rates._type_batches(4, 2, n, K, pmf))
-        assert len(batches) > 1
-        rng = rates.substream(4, "outer-rate-mc", 2)
-        whole = rng.multinomial(K, pmf, size=n)
-        assert np.array_equal(np.vstack(batches), whole)
+        table = rates._alias_table(pmf.tobytes())
+        single_batch = {
+            5: lambda rng: rates._alias_histograms(rng, table, 5, n),
+            500: lambda rng: rng.multinomial(500, pmf, size=n),
+        }
+        for K, draw in single_batch.items():
+            batches = list(rates._type_batches(4, 2, n, K, pmf))
+            assert len(batches) > 1
+            whole = draw(rates.substream(4, "outer-rate-mc", 2))
+            assert np.array_equal(np.vstack(batches), whole)
+
+    @pytest.mark.parametrize("c", [0.5, 2, 10, 50, 10**4])
+    def test_alias_table_holds_the_multinomial_law(self, c):
+        # a cell's mass is its kept share plus the shares aliased to it; the
+        # last cell holds the leftover 1 - sum of the others, as in multinomial
+        pmf = rates._sampling_masses(float(c))
+        top, cells = rates._alias_table(pmf.tobytes())
+        W = pmf.size
+        keep, alias = top - np.arange(W), cells[1::2]
+        assert np.array_equal(cells[::2], np.arange(W))
+        assert np.all((0 <= keep) & (keep <= 1)) and np.all((0 <= alias) & (alias < W))
+        mass = (keep + np.bincount(alias, 1.0 - keep, minlength=W)) / W
+        assert np.abs(mass - law_of(pmf)).max() <= 1e-15
+
+    @pytest.mark.parametrize("c", [0.5, 2, 10, 50])
+    def test_single_draw_rows_follow_the_table(self, c):
+        n = rates.MC_CHUNK
+        pmf = rates._sampling_masses(float(c))
+        h = np.vstack(list(rates._type_batches(5, 0, n, 1, pmf)))
+        assert h.shape == (n, pmf.size) and h.dtype == np.int64
+        assert np.all(h.sum(axis=1) == 1)
+        law = law_of(pmf)
+        se = np.sqrt(law * (1 - law) / n)
+        assert np.all(np.abs(h.mean(axis=0) - law) <= 5 * se)
+
+    @pytest.mark.parametrize("c", [0.5, 2, 10])
+    def test_sampler_rule_is_block_size_against_table_width(self, c):
+        # K <= W draws alias-table rows; K > W draws the multinomial rows of
+        # the chunk's substream, bit for bit as before the alias table
+        n = 3_000
+        pmf = rates._sampling_masses(float(c))
+        W = pmf.size
+        table = rates._alias_table(pmf.tobytes())
+        for K in (1, 10, W, W + 1, 31, 100, 1000):
+            drawn = np.vstack(list(rates._type_batches(7, 1, n, K, pmf)))
+            assert np.all(drawn.sum(axis=1) == K)
+            rng = rates.substream(7, "outer-rate-mc", 1)
+            if K <= W:
+                expected = rates._alias_histograms(rng, table, K, n)
+            else:
+                expected = rng.multinomial(K, pmf, size=n)
+            assert np.array_equal(drawn, expected), K
+
+    @pytest.mark.parametrize("c", [2, 10])
+    def test_alias_estimate_matches_the_block_law(self, c):
+        # K = 10 is the benchmark's alias-table block size. The reference is
+        # the law of the block sum on a 2^-16 lattice, rounded down and up; at
+        # c = 2 exact enumeration lies inside it, at c = 10 it passes ENUM_CAP
+        params, K = params_for(c), 10
+        scheme = SchemeParams(K, RIX1, mean_gated_capacity(params, RIX1), 1.0)
+        mc = achievable_outer_rate_mc(params, scheme, 2 * rates.MC_CHUNK, seed=c)
+        pmf = rates._sampling_masses(float(c))
+        grid = rates._block_grid(rates.gated_capacity_table(0.1, pmf.size - 1, RIX1), K)
+        lo, hi = lattice_bracket(law_of(pmf), grid, K, scheme.r_in, 16)
+        assert 0.2 < lo <= hi < 0.8 and hi - lo < mc.stderr
+        assert lo - 5 * mc.stderr <= mc.value <= hi + 5 * mc.stderr
+        if c == 2:
+            exact = achievable_outer_rate_exact(params, scheme)
+            assert lo - exact.truncation_mass <= exact.value <= hi
+            assert abs(exact.value - mc.value) <= 5 * mc.stderr + exact.truncation_mass
+
+    @pytest.mark.parametrize(
+        "c, K, n", [(0.5, 1, 65_536), (2, 23, 20_000), (50, 119, 65_536), (2, 7, 300)]
+    )
+    def test_alias_batches_hold_no_more_than_a_multinomial_batch(self, c, K, n):
+        pmf = rates._sampling_masses(float(c))
+        W = pmf.size
+        cell_bytes = 8 * min(n, rates._HIST_CELLS // W) * W  # one multinomial batch
+        batches = rates._type_batches(1, 0, n, K, pmf)
+        rows = 0
+        tracemalloc.start()
+        try:
+            while True:
+                before = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                h = next(batches, None)
+                if h is None:
+                    break
+                temporaries = tracemalloc.get_traced_memory()[1] - before - h.nbytes
+                assert h.nbytes <= cell_bytes and temporaries <= cell_bytes
+                rows += len(h)
+                del h
+        finally:
+            tracemalloc.stop()
+        assert rows == n
 
     def test_optimizer_and_estimator_share_histograms(self):
         params, K, seed = params_for(2), 6, 8
@@ -491,6 +582,29 @@ class TestTypeSampler:
         best = optimize_scheme(params_for(2), K, samples=50, method="mc")
         mean = mean_gated_capacity(params_for(2), best.scheme.r_ix)
         assert best.scheme.r_in == pytest.approx(mean, abs=1e-4)
+
+
+def law_of(pmf):
+    """The law Generator.multinomial draws from pmf: the last cell holds the
+    leftover 1 - sum of the others."""
+    return np.append(pmf[:-1], 1.0 - math.fsum(pmf[:-1]))
+
+
+def lattice_bracket(law, values, K, r_in, bits):
+    """(lower, upper) bounds on P(sum of K i.i.d. values[d] > K * r_in), d ~ law:
+    the exact laws of the sums of the values rounded down and up to
+    multiples of 2^-bits, by K sparse convolutions on that lattice."""
+    bounds = []
+    for rounding in (np.floor, np.ceil):
+        steps = rounding(np.ldexp(values, bits)).astype(np.int64)
+        dist = np.ones(1)
+        for _ in range(K):
+            grown = np.zeros(dist.size + int(steps.max()))
+            for step, mass in zip(steps.tolist(), law.tolist()):
+                grown[step : step + dist.size] += mass * dist
+            dist = grown
+        bounds.append(math.fsum(dist[np.arange(dist.size) > np.ldexp(K * r_in, bits)]))
+    return tuple(bounds)
 
 
 def bits(a):
