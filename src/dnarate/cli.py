@@ -30,6 +30,7 @@ from .multidraw import _check_count, _check_index_overhead, _check_unit
 from .rates import (
     ChannelParams,
     EnumerationCapError,
+    RateEstimate,
     SchemeParams,
     achievable_outer_rate_exact,
     achievable_outer_rate_mc,
@@ -144,10 +145,6 @@ def _scheme(args, need_rout=False):
     return SchemeParams(K=args.K, r_ix=args.rix, r_in=args.rin, r_out=rout)
 
 
-def _fmt6(x):
-    return f"{x:.6f}"
-
-
 def _write(path, body):
     """Write body to the file at path, or to stdout when path is None."""
     if path is None:
@@ -160,84 +157,96 @@ def _write(path, body):
         raise CliError(4, f"cannot write {path}: {exc}")
 
 
-def _emit(args, csv_text, json_obj):
-    """Write the optional file row for a scalar-style command."""
-    if args.out is not None:
-        body = json.dumps(json_obj, indent=2) + "\n" if args.format == "json" else csv_text
-        _write(args.out, body)
+def _json(obj):
+    """Every JSON body: two-space indent, keys in insertion order."""
+    return json.dumps(obj, indent=2) + "\n"
+
+
+def _text(value, float_text):
+    """A value as CSV or stdout text: a bool as 0/1, a float by float_text."""
+    if isinstance(value, bool):
+        return str(int(value))
+    return float_text(float(value)) if isinstance(value, float) else str(value)
 
 
 def _table(header, rows, fmt):
-    """CSV or JSON body of rows under a comma-separated header. A bool is 0/1
-    in CSV; floats keep full precision in both."""
+    """CSV or JSON body of rows under a comma-separated header. Floats keep
+    full precision in both."""
     if fmt == "json":
-        keys = header.split(",")
-        return json.dumps([dict(zip(keys, row)) for row in rows], indent=2) + "\n"
+        return _json([dict(zip(header.split(","), row)) for row in rows])
+    lines = (",".join(_text(v, repr) for v in row) for row in rows)
+    return "\n".join([header, *lines]) + "\n"
 
-    def cell(v):
-        if isinstance(v, bool):
-            return str(int(v))
-        return repr(float(v)) if isinstance(v, float) else str(v)
 
-    return "\n".join([header, *(",".join(map(cell, row)) for row in rows)]) + "\n"
+def _record(fields, fmt):
+    """A scalar command's record as a file body: a one-row CSV table without
+    the sample count, or one JSON object that spells the rate names (R_...)
+    in lower case."""
+    if fmt == "json":
+        return _json({k.lower() if k.startswith("R") else k: v for k, v in fields.items()})
+    row = {k: v for k, v in fields.items() if k != "samples"}
+    return _table(",".join(row), [row.values()], "csv")
+
+
+def _emit(args, body):
+    """Write body to the --out file, if one is given."""
+    if args.out is not None:
+        _write(args.out, body)
+
+
+def _print_fields(fields, *names):
+    """Print `name = value` for each name: a float to six decimals, a bool as
+    0/1."""
+    for name in names:
+        print(f"{name} = {_text(fields[name], '{:.6f}'.format)}")
 
 
 # ---------------------------------------------------------------------------
 # Subcommands
 
 def cmd_capacity(args):
-    params = _channel(args)
-    cap = channel_capacity(params, args.tail_eps)
-    print(_fmt6(cap))
-    _emit(
-        args,
-        f"c,beta,p,capacity\n{args.c!r},{args.beta!r},{args.p!r},{cap!r}\n",
-        {"c": args.c, "beta": args.beta, "p": args.p, "capacity": cap},
-    )
+    cap = channel_capacity(_channel(args), args.tail_eps)
+    print(f"{cap:.6f}")
+    record = {"c": args.c, "beta": args.beta, "p": args.p, "capacity": cap}
+    _emit(args, _record(record, args.format))
     return 0
 
 
-def _estimate(params, scheme, args):
+def _rate_row(r_ix, r_in, est, overall):
+    """The one rate row: a scheme's index and inner rates with its outer and
+    overall rates, the estimate's stderr, method and sample count."""
+    return {"R_ix": r_ix, "R_in": r_in, "R_out": est.value, "R": overall,
+            "stderr": est.stderr, "method": est.method, "samples": est.samples}
+
+
+def _rate_record(params, scheme, args):
+    """rate's record: the rate row and the truncation mass."""
     # Checked before any estimate, so an infeasible exact request never
     # hides the invalid scheme behind exit code 3.
     _check_index_overhead(params.beta, scheme.r_ix)
     if _use_exact(params, scheme.K, args.method, args.tail_eps):
-        return achievable_outer_rate_exact(params, scheme, args.tail_eps)
-    return achievable_outer_rate_mc(params, scheme, args.samples, args.seed, args.threads)
+        est = achievable_outer_rate_exact(params, scheme, args.tail_eps)
+    else:
+        est = achievable_outer_rate_mc(params, scheme, args.samples, args.seed, args.threads)
+    overall = overall_rate(scheme.r_in, est.value, scheme.r_ix, params.beta)
+    return {**_rate_row(scheme.r_ix, scheme.r_in, est, overall),
+            "truncation_mass": est.truncation_mass}
 
 
-def _optimize(params, K, args):
-    return optimize_scheme(params, K, samples=args.samples, seed=args.seed,
-                           method=args.method, tail_eps=args.tail_eps,
-                           threads=args.threads)
+def _optimizer_record(params, K, args):
+    """The one optimiser row: K, the index candidate and the rate row of the
+    scheme optimize_scheme finds."""
+    res = optimize_scheme(params, K, samples=args.samples, seed=args.seed,
+                          method=args.method, tail_eps=args.tail_eps,
+                          threads=args.threads)
+    return {"K": K, "d_candidate": res.d_candidate,
+            **_rate_row(res.scheme.r_ix, res.scheme.r_in, res.rate, res.overall)}
 
 
 def cmd_rate(args):
-    params = _channel(args)
-    scheme = _scheme(args)
-    est = _estimate(params, scheme, args)
-    overall = overall_rate(scheme.r_in, est.value, scheme.r_ix, params.beta)
-    print(f"R_out = {_fmt6(est.value)}")
-    print(f"R = {_fmt6(overall)}")
-    print(f"stderr = {_fmt6(est.stderr)}")
-    print(f"method = {est.method}")
-    print(f"truncation_mass = {_fmt6(est.truncation_mass)}")
-    _emit(
-        args,
-        "R_ix,R_in,R_out,R,stderr,method,truncation_mass\n"
-        f"{scheme.r_ix!r},{scheme.r_in!r},{est.value!r},{overall!r},"
-        f"{est.stderr!r},{est.method},{est.truncation_mass!r}\n",
-        {
-            "r_ix": scheme.r_ix,
-            "r_in": scheme.r_in,
-            "r_out": est.value,
-            "r": overall,
-            "stderr": est.stderr,
-            "method": est.method,
-            "samples": est.samples,
-            "truncation_mass": est.truncation_mass,
-        },
-    )
+    record = _rate_record(_channel(args), _scheme(args), args)
+    _print_fields(record, "R_out", "R", "stderr", "method", "truncation_mass")
+    _emit(args, _record(record, args.format))
     return 0
 
 
@@ -255,93 +264,57 @@ def _parse_values(args):
     return values
 
 
-def _curve_rows(args):
+def cmd_curve(args):
     values = _parse_values(args)
-    rows = []
     if args.sweep == "K":
         params = _channel(args)
-        for k in values:
-            res = _optimize(params, k, args)
-            rows.append(
-                (k, res.scheme.r_ix, res.scheme.r_in, res.rate.value, res.overall,
-                 res.rate.stderr, res.rate.method)
-            )
-        return rows
-    if args.sweep == "rin" and args.K == 0:
+        records = (_optimizer_record(params, k, args) for k in values)
+    elif args.sweep == "rin" and args.K == 0:
         # Infinite-block-size limit: the outer rate is a step function of
         # the inner rate at the mean gated capacity.
         params = _channel(args)
         _need(args, "rix")
         mean = mean_gated_capacity(params, args.rix, args.tail_eps)
-        for rin in values:
-            r_out = 1.0 if rin < mean else 0.0
-            rows.append((rin, args.rix, rin, r_out,
-                         overall_rate(rin, r_out, args.rix, params.beta),
-                         0.0, "asymptotic"))
-        return rows
-    # sweep rin, c or p with the rest of the scheme fixed
-    for val in values:
-        ns = argparse.Namespace(**vars(args))
-        setattr(ns, args.sweep, val)
-        params = _channel(ns)
-        scheme = _scheme(ns)
-        est = _estimate(params, scheme, ns)
-        rows.append(
-            (val, scheme.r_ix, scheme.r_in, est.value,
-             overall_rate(scheme.r_in, est.value, scheme.r_ix, params.beta),
-             est.stderr, est.method)
-        )
-    return rows
 
+        def asymptotic(rin):
+            est = RateEstimate(1.0 if rin < mean else 0.0, 0.0, "asymptotic", 0, 0.0)
+            overall = overall_rate(rin, est.value, args.rix, params.beta)
+            return _rate_row(args.rix, rin, est, overall)
 
-def cmd_curve(args):
-    _write(args.out, _table(CURVE_HEADER, _curve_rows(args), args.format))
+        records = map(asymptotic, values)
+    else:
+        # sweep rin, c or p with the rest of the scheme fixed
+        def swept(val):
+            ns = argparse.Namespace(**vars(args))
+            setattr(ns, args.sweep, val)
+            return _rate_record(_channel(ns), _scheme(ns), ns)
+
+        records = map(swept, values)
+    columns = CURVE_HEADER.split(",")[1:]
+    rows = [(val, *(record[k] for k in columns)) for val, record in zip(values, records)]
+    _write(args.out, _table(CURVE_HEADER, rows, args.format))
     return 0
 
 
 def cmd_optimize(args):
     params = _channel(args)
     _need(args, "K")
-    res = _optimize(params, args.K, args)
-    obj = {
-        "K": args.K,
-        "d_candidate": res.d_candidate,
-        "r_ix": res.scheme.r_ix,
-        "r_in": res.scheme.r_in,
-        "r_out": res.rate.value,
-        "r": res.overall,
-        "stderr": res.rate.stderr,
-        "method": res.rate.method,
-        "samples": res.rate.samples,
-    }
+    record = _optimizer_record(params, args.K, args)
     if args.format == "json" and args.out is None:
-        print(json.dumps(obj, indent=2))
+        _write(None, _record(record, "json"))
     else:
-        print(f"d_candidate = {res.d_candidate}")
-        print(f"R_ix = {_fmt6(res.scheme.r_ix)}")
-        print(f"R_in = {_fmt6(res.scheme.r_in)}")
-        print(f"R_out = {_fmt6(res.rate.value)}")
-        print(f"R = {_fmt6(res.overall)}")
-        print(f"stderr = {_fmt6(res.rate.stderr)}")
-        print(f"method = {res.rate.method}")
-    _emit(
-        args,
-        "K,d_candidate,R_ix,R_in,R_out,R,stderr,method\n"
-        f"{args.K},{res.d_candidate},{res.scheme.r_ix!r},{res.scheme.r_in!r},"
-        f"{res.rate.value!r},{res.overall!r},{res.rate.stderr!r},{res.rate.method}\n",
-        obj,
-    )
+        _print_fields(record, "d_candidate", "R_ix", "R_in", "R_out", "R", "stderr", "method")
+    _emit(args, _record(record, args.format))
     return 0
 
 
-def _sim_table(reports, fmt):
-    """simulate's table: one row of decoder counters per trial."""
-    rows = [
+def _sim_rows(reports):
+    """simulate's rows under SIM_HEADER: decoder counters, one row per trial."""
+    return [
         (i, r.m_wrong_clusters, r.m_wrong_index, r.m_wrong_inner, r.erasures, r.errors,
          r.outer_success)
         for i, r in enumerate(reports)
     ]
-    return _table(SIM_HEADER, rows, fmt)
 
 
 def cmd_simulate(args):
@@ -372,8 +345,9 @@ def cmd_simulate(args):
             dump_channel(output, args.dump)
         except OSError as exc:
             raise CliError(4, f"cannot write {args.dump}: {exc}")
-    _write(args.out, _sim_table(reports, args.format))
-    print(f"success_rate = {_fmt6(sum(r.outer_success for r in reports) / len(reports))}")
+    _write(args.out, _table(SIM_HEADER, _sim_rows(reports), args.format))
+    rate = sum(r.outer_success for r in reports) / len(reports)
+    _print_fields({"success_rate": rate}, "success_rate")
     return 0
 
 
@@ -393,15 +367,10 @@ def cmd_replay(args):
     args.c = output.N / m or args.c
     params = _channel(args)
     scheme = _scheme(args, need_rout=True)
-    report = decode(output, params, scheme, ClusteringConfig(rho=args.rho))
-    if args.out is not None:
-        _write(args.out, _sim_table([report], args.format))
-    print(f"M_C = {report.m_wrong_clusters}")
-    print(f"M_Ix = {report.m_wrong_index}")
-    print(f"M_In = {report.m_wrong_inner}")
-    print(f"s = {report.erasures}")
-    print(f"t = {report.errors}")
-    print(f"success = {int(report.outer_success)}")
+    rows = _sim_rows([decode(output, params, scheme, ClusteringConfig(rho=args.rho))])
+    _emit(args, _table(SIM_HEADER, rows, args.format))
+    keys = SIM_HEADER.split(",")
+    _print_fields(dict(zip(keys, rows[0])), *keys[1:])
     return 0
 
 

@@ -246,12 +246,17 @@ def greedy_cluster(output, config):
       shares a field value. Each pair that does is kept only after its
       distance is checked.
     - The blocked scan computes each seed's distance to every later pending
-      read, word by word. Once the first 2t // 64 + 1 words put a pair past
-      t bits, the rest cannot bring it back, so only the pairs still within
-      t after those words get the rest. At L = 240 and t = 72, three words
-      of four.
+      read, word by word. Once a word prefix puts a pair past t bits, the
+      rest cannot bring it back, so only the pairs still within t after the
+      prefix get the rest. The prefix is the fewest words w < W over which
+      two unrelated reads differ by at least 2.5 standard deviations more
+      than t bits on average: 32w - t >= 2.5 * 4 sqrt(w) (see _scan_words).
+      So at most about 0.6% of unrelated pairs survive it, where a prefix
+      that only just puts the mean past t would keep about half of them.
+      At L = 240 and t = 72, three words of four; at L = 960 and t = 60,
+      three of fifteen.
     The rule between them compares costs from L, t and W alone, before any
-    field is cut. The scan sums min(W, 2t // 64 + 1) words per pair. Two
+    field is cut. The scan sums that prefix's words per pair. Two
     random reads share a field value with chance sum(2^-width), and one
     such collision takes about as long to check as the scan takes to sum
     125 W - 100 words (numpy 2.4 on x86-64, fitted on c = 2 channel reads
@@ -290,9 +295,10 @@ def _greedy_labels(rows, t, span, length):
     per row as 64-bit words, padding bits zero; span is an unsigned dtype
     that holds any distance."""
     assigned = bytearray(rows.shape[0])
-    pairs = _indexed_pairs(rows, t, length)
+    prefix = _scan_words(t, rows.shape[1])
+    pairs = _indexed_pairs(rows, t, length, prefix)
     if pairs is None:
-        seeds = _scanned_seeds(rows, t, span, assigned)
+        seeds = _scanned_seeds(rows, t, span, assigned, prefix)
     else:
         seeds = _listed_seeds(pairs, assigned)
     roots = np.array(_walk(rows, t, span, seeds, assigned), dtype=np.int64)
@@ -351,20 +357,21 @@ def _walk(rows, t, span, seeds, assigned):
     return roots
 
 
-def _scanned_seeds(rows, t, span, assigned):
+def _scanned_seeds(rows, t, span, assigned, prefix):
     """Pair source 1, the blocked scan: the rule's seeds in order, each with
     its near pending reads.
 
     The next B pending reads are taken as seeds, and their distances to
     every later pending read are summed one numpy pass per 64-bit word. Only
-    the first 2t // 64 + 1 words (all W, if fewer) are summed for every
-    cell: past them an unrelated pair already averages more than t bits,
-    and a cell past t there stays past t. When the block has no more cells
-    within t than pending reads, one flatnonzero lists them and the other
-    words are added on those cells alone (see _finished); each seed gets a
-    Python list. Otherwise the other words are added densely and the same
-    rule runs on the full distances: a list per seed, or each seed's row of
-    the block as an array.
+    the first `prefix` words (see _scan_words) are summed for every cell:
+    over them an unrelated pair averages at least 2.5 standard deviations
+    more than t bits, so few such cells stay within t, and a cell past t
+    there stays past t. When the block has no more cells within t than
+    pending reads, one flatnonzero lists them and the other words are added
+    on those cells alone (see _finished); each seed gets a Python list.
+    Otherwise the other words are added densely and the same rule runs on
+    the full distances: a list per seed, or each seed's row of the block as
+    an array.
 
     A seed that an earlier seed's cluster took is skipped; every other one
     is the rule's next seed, because every read below it is assigned. One
@@ -375,7 +382,6 @@ def _scanned_seeds(rows, t, span, assigned):
     rows it throws away.
     """
     n, words = rows.shape
-    prefix = min(words, 2 * t // 64 + 1)
     # Word-major layout: row w holds the w-th 64-bit word of every pending
     # read, so a block's distances are one broadcast pass per word.
     mat = np.ascontiguousarray(rows.T)
@@ -462,10 +468,11 @@ def _listed_seeds(pairs, assigned):
             yield seed, hi[bounds[k]:bounds[k + 1]]
 
 
-def _indexed_pairs(rows, t, length):
+def _indexed_pairs(rows, t, length, prefix):
     """Pair source 2, the pigeonhole index: every pair of reads within t bits,
     as (lo, hi) arrays with lo < hi, sorted by lo then hi; or None when the
-    scan costs less (see greedy_cluster).
+    scan, which sums `prefix` words per pair, costs less (see
+    greedy_cluster).
 
     Each field's values are sorted, and reads with equal values collide; all
     collisions are counted before any pair is built. A field's pass k then
@@ -478,7 +485,7 @@ def _indexed_pairs(rows, t, length):
         return None
     q, r = divmod(length, fields)  # r fields of q + 1 bits, the rest of q
     chance = (fields - r) * 2.0 ** -min(q, _FIELD_BITS) + r * 2.0 ** -min(q + 1, _FIELD_BITS)
-    prefix, (base, per_word) = _scan_words(t, words), _COLLISION_COST
+    base, per_word = _COLLISION_COST
     if chance * (base + per_word * words) > prefix:
         return None
     budget = n * (n - 1) / 2 * prefix / words  # the scan's words, in distances
@@ -514,9 +521,15 @@ def _indexed_pairs(rows, t, length):
 
 
 def _scan_words(t, words):
-    """Words the blocked scan sums per pair of reads of `words` words at
-    diameter t, the cost the index must undercut (see _scanned_seeds)."""
-    return min(words, 2 * t // 64 + 1)
+    """Words the blocked scan sums for every pair of reads of W = `words`
+    words at diameter t (see _scanned_seeds): the fewest w < W with
+    32w >= t and (32w - t)^2 >= 100w, else all W. Over w words two unrelated
+    reads differ in 32w bits on average, with standard deviation 4 sqrt(w),
+    so the rule puts that mean at least 2.5 standard deviations past t."""
+    w = max(1, -(-t // 32))
+    while w < words and (32 * w - t) ** 2 < 100 * w:
+        w += 1
+    return min(w, words)
 
 
 def _fields(length, fields):

@@ -1,9 +1,11 @@
+import contextlib
 import json
 import math
 import struct
 import subprocess
 import sys
 import time
+from unittest import mock
 
 import pytest
 
@@ -641,3 +643,340 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.strip() == "0.370762"
+
+
+# ---------------------------------------------------------------------------
+# Golden outputs: the bytes each subcommand writes to stdout and to --out, in
+# both formats, pinned as literals. "{dump}" stands for the channel dump that
+# simulate writes and replay reads.
+
+GOLDEN_SIM = ["--c", "3", "--beta", "0.05", "--p", "0.02", "--K", "4", "--rix", "0.7",
+              "--rin", "0.6", "--rout", "0.5"]
+GOLDEN_RUNS = {
+    "capacity": ["capacity", *CH],
+    "rate exact": ["rate", *CH, "--K", "1", "--rix", "0.530473", "--rin", "0.53"],
+    "rate mc": ["rate", "--c", "2", "--beta", "0.05", "--p", "0.1", "--K", "10",
+                "--rix", "0.5304", "--rin", "0.45", "--method", "mc", "--samples", "5000",
+                "--seed", "3"],
+    "optimize exact": ["optimize", *CH, "--K", "1"],
+    "optimize mc": ["optimize", "--c", "2", "--beta", "0.05", "--p", "0.1", "--K", "10",
+                    "--method", "mc", "--samples", "2000", "--seed", "4"],
+    "curve K": ["curve", "--sweep", "K", "--values", "1,2", *CH],
+    "curve rin": ["curve", "--sweep", "rin", "--values", "0.3,0.45", *CH, "--K", "2",
+                  "--rix", "0.5304"],
+    "curve rin K=0": ["curve", "--sweep", "rin", "--values", "0.3,0.5", *CH, "--K", "0",
+                      "--rix", "0.5304"],
+    "simulate": ["simulate", *GOLDEN_SIM, "--M", "256", "--seed", "1", "--dump", "{dump}"],
+    "replay": ["replay", "--in", "{dump}", *GOLDEN_SIM[4:]],
+}
+# name: (stdout with --out, the CSV file, the JSON file)
+GOLDEN = {
+    "capacity": (
+        "0.370762\n",
+        (
+            "c,beta,p,capacity\n"
+            "1.0,0.05,0.1,0.37076199137325977\n"
+        ),
+        (
+            "{\n"
+            '  "c": 1.0,\n'
+            '  "beta": 0.05,\n'
+            '  "p": 0.1,\n'
+            '  "capacity": 0.37076199137325977\n'
+            "}\n"
+        ),
+    ),
+    "rate exact": (
+        (
+            "R_out = 0.632121\n"
+            "R = 0.303446\n"
+            "stderr = 0.000000\n"
+            "method = exact\n"
+            "truncation_mass = 0.000000\n"
+        ),
+        (
+            "R_ix,R_in,R_out,R,stderr,method,truncation_mass\n"
+            "0.530473,0.53,0.6321205588282578,0.30344604997577906,0.0,exact,3.0000106665251957e-13\n"
+        ),
+        (
+            "{\n"
+            '  "r_ix": 0.530473,\n'
+            '  "r_in": 0.53,\n'
+            '  "r_out": 0.6321205588282578,\n'
+            '  "r": 0.30344604997577906,\n'
+            '  "stderr": 0.0,\n'
+            '  "method": "exact",\n'
+            '  "samples": 0,\n'
+            '  "truncation_mass": 3.0000106665251957e-13\n'
+            "}\n"
+        ),
+    ),
+    "rate mc": (
+        (
+            "R_out = 0.971400\n"
+            "R = 0.395922\n"
+            "stderr = 0.002357\n"
+            "method = monte_carlo\n"
+            "truncation_mass = 0.000000\n"
+        ),
+        (
+            "R_ix,R_in,R_out,R,stderr,method,truncation_mass\n"
+            "0.5304,0.45,0.9714,0.39592242081447965,0.002357203427793196,monte_carlo,0.0\n"
+        ),
+        (
+            "{\n"
+            '  "r_ix": 0.5304,\n'
+            '  "r_in": 0.45,\n'
+            '  "r_out": 0.9714,\n'
+            '  "r": 0.39592242081447965,\n'
+            '  "stderr": 0.002357203427793196,\n'
+            '  "method": "monte_carlo",\n'
+            '  "samples": 5000,\n'
+            '  "truncation_mass": 0.0\n'
+            "}\n"
+        ),
+    ),
+    "optimize exact": (
+        (
+            "d_candidate = 1\n"
+            "R_ix = 0.530473\n"
+            "R_in = 0.531004\n"
+            "R_out = 0.632121\n"
+            "R = 0.304021\n"
+            "stderr = 0.000000\n"
+            "method = exact\n"
+        ),
+        (
+            "K,d_candidate,R_ix,R_in,R_out,R,stderr,method\n"
+            "1,1,0.5304734020043081,0.5310044064107188,0.6321205588282577,0.3040211365135909,0.0,exact\n"
+        ),
+        (
+            "{\n"
+            '  "K": 1,\n'
+            '  "d_candidate": 1,\n'
+            '  "r_ix": 0.5304734020043081,\n'
+            '  "r_in": 0.5310044064107188,\n'
+            '  "r_out": 0.6321205588282577,\n'
+            '  "r": 0.3040211365135909,\n'
+            '  "stderr": 0.0,\n'
+            '  "method": "exact",\n'
+            '  "samples": 0\n'
+            "}\n"
+        ),
+    ),
+    "optimize mc": (
+        (
+            "d_candidate = 1\n"
+            "R_ix = 0.530473\n"
+            "R_in = 0.509236\n"
+            "R_out = 0.901000\n"
+            "R = 0.415575\n"
+            "stderr = 0.006678\n"
+            "method = monte_carlo\n"
+        ),
+        (
+            "K,d_candidate,R_ix,R_in,R_out,R,stderr,method\n"
+            "10,1,0.5304734020043081,0.5092361059841735,0.901,0.41557529069394006,0.006678285708173917,monte_carlo\n"
+        ),
+        (
+            "{\n"
+            '  "K": 10,\n'
+            '  "d_candidate": 1,\n'
+            '  "r_ix": 0.5304734020043081,\n'
+            '  "r_in": 0.5092361059841735,\n'
+            '  "r_out": 0.901,\n'
+            '  "r": 0.41557529069394006,\n'
+            '  "stderr": 0.006678285708173917,\n'
+            '  "method": "monte_carlo",\n'
+            '  "samples": 2000\n'
+            "}\n"
+        ),
+    ),
+    "curve K": (
+        "",
+        (
+            "sweep_var,R_ix,R_in,R_out,R,stderr,method\n"
+            "1,0.5304734020043081,0.5310044064107188,0.6321205588282577,0.3040211365135909,0.0,exact\n"
+            "2,0.5304734020043081,0.2655022032053594,0.8646647167627394,0.20793213115920162,0.0,exact\n"
+        ),
+        (
+            "[\n"
+            "  {\n"
+            '    "sweep_var": 1,\n'
+            '    "R_ix": 0.5304734020043081,\n'
+            '    "R_in": 0.5310044064107188,\n'
+            '    "R_out": 0.6321205588282577,\n'
+            '    "R": 0.3040211365135909,\n'
+            '    "stderr": 0.0,\n'
+            '    "method": "exact"\n'
+            "  },\n"
+            "  {\n"
+            '    "sweep_var": 2,\n'
+            '    "R_ix": 0.5304734020043081,\n'
+            '    "R_in": 0.2655022032053594,\n'
+            '    "R_out": 0.8646647167627394,\n'
+            '    "R": 0.20793213115920162,\n'
+            '    "stderr": 0.0,\n'
+            '    "method": "exact"\n'
+            "  }\n"
+            "]\n"
+        ),
+    ),
+    "curve rin": (
+        "",
+        (
+            "sweep_var,R_ix,R_in,R_out,R,stderr,method\n"
+            "0.3,0.5304,0.3,0.5939941502895139,0.16139976798590636,0.0,exact\n"
+            "0.45,0.5304,0.45,0.41354710597403044,0.16855319262719815,0.0,exact\n"
+        ),
+        (
+            "[\n"
+            "  {\n"
+            '    "sweep_var": 0.3,\n'
+            '    "R_ix": 0.5304,\n'
+            '    "R_in": 0.3,\n'
+            '    "R_out": 0.5939941502895139,\n'
+            '    "R": 0.16139976798590636,\n'
+            '    "stderr": 0.0,\n'
+            '    "method": "exact"\n'
+            "  },\n"
+            "  {\n"
+            '    "sweep_var": 0.45,\n'
+            '    "R_ix": 0.5304,\n'
+            '    "R_in": 0.45,\n'
+            '    "R_out": 0.41354710597403044,\n'
+            '    "R": 0.16855319262719815,\n'
+            '    "stderr": 0.0,\n'
+            '    "method": "exact"\n'
+            "  }\n"
+            "]\n"
+        ),
+    ),
+    "curve rin K=0": (
+        "",
+        (
+            "sweep_var,R_ix,R_in,R_out,R,stderr,method\n"
+            "0.3,0.5304,0.3,1.0,0.27171945701357464,0.0,asymptotic\n"
+            "0.5,0.5304,0.5,0.0,0.0,0.0,asymptotic\n"
+        ),
+        (
+            "[\n"
+            "  {\n"
+            '    "sweep_var": 0.3,\n'
+            '    "R_ix": 0.5304,\n'
+            '    "R_in": 0.3,\n'
+            '    "R_out": 1.0,\n'
+            '    "R": 0.27171945701357464,\n'
+            '    "stderr": 0.0,\n'
+            '    "method": "asymptotic"\n'
+            "  },\n"
+            "  {\n"
+            '    "sweep_var": 0.5,\n'
+            '    "R_ix": 0.5304,\n'
+            '    "R_in": 0.5,\n'
+            '    "R_out": 0.0,\n'
+            '    "R": 0.0,\n'
+            '    "stderr": 0.0,\n'
+            '    "method": "asymptotic"\n'
+            "  }\n"
+            "]\n"
+        ),
+    ),
+    "simulate": (
+        "success_rate = 1.000000\n",
+        (
+            "trial,M_C,M_Ix,M_In,s,t,success\n"
+            "0,2,2,0,32,32,1\n"
+        ),
+        (
+            "[\n"
+            "  {\n"
+            '    "trial": 0,\n'
+            '    "M_C": 2,\n'
+            '    "M_Ix": 2,\n'
+            '    "M_In": 0,\n'
+            '    "s": 32,\n'
+            '    "t": 32,\n'
+            '    "success": true\n'
+            "  }\n"
+            "]\n"
+        ),
+    ),
+    "replay": (
+        (
+            "M_C = 2\n"
+            "M_Ix = 2\n"
+            "M_In = 0\n"
+            "s = 32\n"
+            "t = 32\n"
+            "success = 1\n"
+        ),
+        (
+            "trial,M_C,M_Ix,M_In,s,t,success\n"
+            "0,2,2,0,32,32,1\n"
+        ),
+        (
+            "[\n"
+            "  {\n"
+            '    "trial": 0,\n'
+            '    "M_C": 2,\n'
+            '    "M_Ix": 2,\n'
+            '    "M_In": 0,\n'
+            '    "s": 32,\n'
+            '    "t": 32,\n'
+            '    "success": true\n'
+            "  }\n"
+            "]\n"
+        ),
+    ),
+
+}
+
+
+@pytest.mark.parametrize("name", GOLDEN_RUNS)
+def test_golden_bytes(capsys, tmp_path, name):
+    def argv(name):
+        return [a.replace("{dump}", str(tmp_path / "channel.bin")) for a in GOLDEN_RUNS[name]]
+
+    if name == "replay":
+        assert run(capsys, argv("simulate"))[0] == 0
+    stdout, *bodies = GOLDEN[name]
+    for fmt, body in zip(("csv", "json"), bodies):
+        path = tmp_path / f"out.{fmt}"
+        assert run(capsys, [*argv(name), "--format", fmt, "--out", str(path)]) == (0, stdout, "")
+        assert path.read_bytes() == body.encode()
+        # Without --out a table goes to stdout, ahead of any summary line, and
+        # optimize's JSON record stands in for its lines.
+        if name.startswith(("curve", "simulate")):
+            alone = body + stdout
+        else:
+            alone = body if name.startswith("optimize") and fmt == "json" else stdout
+        assert run(capsys, [*argv(name), "--format", fmt]) == (0, alone, "")
+
+
+# Each subcommand's calls into the rate library, by name. bench/tracer.py
+# times them by rebinding these names on the cli module, so a call made any
+# other way would slip past it.
+LIBRARY_CALLS = {
+    "capacity": (GOLDEN_RUNS["capacity"], {"channel_capacity": 1}),
+    "rate exact": (GOLDEN_RUNS["rate exact"], {"achievable_outer_rate_exact": 1}),
+    "rate mc": (GOLDEN_RUNS["rate mc"], {"achievable_outer_rate_mc": 1}),
+    "optimize": (GOLDEN_RUNS["optimize exact"], {"optimize_scheme": 1}),
+    "curve K": (GOLDEN_RUNS["curve K"], {"optimize_scheme": 2}),
+    "curve rin": (GOLDEN_RUNS["curve rin"], {"achievable_outer_rate_exact": 2}),
+    "curve c": (["curve", "--sweep", "c", "--values", "1,2,4", "--beta", "0.05", "--p", "0.1",
+                 "--K", "3", "--rix", "0.5304", "--rin", "0.45", "--method", "mc",
+                 "--samples", "2000"], {"achievable_outer_rate_mc": 3}),
+}
+
+
+@pytest.mark.parametrize("argv,calls", LIBRARY_CALLS.values(), ids=LIBRARY_CALLS.keys())
+def test_library_called_through_the_module_globals(capsys, argv, calls):
+    names = ["channel_capacity", "achievable_outer_rate_exact", "achievable_outer_rate_mc",
+             "optimize_scheme"]
+    with contextlib.ExitStack() as stack:
+        spies = {name: stack.enter_context(mock.patch.object(
+            cli, name, wraps=getattr(cli, name))) for name in names}
+        assert run(capsys, argv)[0] == 0
+    assert {name: spy.call_count for name, spy in spies.items()} == {
+        **dict.fromkeys(names, 0), **calls}

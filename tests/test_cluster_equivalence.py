@@ -6,8 +6,8 @@ return the same clusters, in the same order, with the same members. The scan
 sees every read, duplicates included, so it also checks that clustering the
 distinct reads once gives the rule's clusters. Both of greedy_cluster's pair
 sources are checked: `sources` records which one each call took, and
-`forced_index` prices the scan at infinity, so the pigeonhole index
-also runs where its cost rule would take the scan.
+`forced_index` prices the scan at infinity for the index's cost test, so
+the pigeonhole index also runs where its cost rule would take the scan.
 """
 
 import contextlib
@@ -122,9 +122,12 @@ def sources():
 
 
 def forced_index():
-    """Prices the scan at infinity, so the index runs whenever t + 1 fields
-    fit in the read."""
-    return mock.patch.object(decoder, "_scan_words", lambda t, words: math.inf)
+    """Prices the scan at infinity for the index's cost test and collision
+    guard only, so the index runs whenever t + 1 fields fit in the read, and
+    the scan, where it runs, keeps its word prefix."""
+    pairs = decoder._indexed_pairs
+    return mock.patch.object(decoder, "_indexed_pairs",
+                             lambda rows, t, length, prefix: pairs(rows, t, length, math.inf))
 
 
 def assert_same(output, rho):
@@ -445,7 +448,7 @@ class TestPigeonholeIndex:
             peak, clusters = traced_peak(greedy_cluster, out, config)
         assert seen == {"index": [False], "fields": 1}
         assert clusters == reference_greedy_cluster(out, config)
-        with mock.patch.object(decoder, "_indexed_pairs", lambda rows, t, length: None):
+        with mock.patch.object(decoder, "_indexed_pairs", lambda *args: None):
             scan_peak, _ = traced_peak(greedy_cluster, out, config)
         assert peak <= scan_peak + 64 * 1024
 
@@ -490,7 +493,7 @@ def finishes():
             seen["dense"].append(words)
         return sum_words(mat, words, *args)
 
-    with mock.patch.object(decoder, "_indexed_pairs", lambda rows, t, length: None), \
+    with mock.patch.object(decoder, "_indexed_pairs", lambda *args: None), \
             mock.patch.object(decoder, "_finished", spy_finished), \
             mock.patch.object(decoder, "_sum_words", spy_sum_words):
         yield seen
@@ -498,7 +501,35 @@ def finishes():
 
 def prefix_words(t, length):
     """Words of a read the scan sums for every cell at diameter t."""
-    return min(-(-length // 64), 2 * t // 64 + 1)
+    return decoder._scan_words(t, -(-length // 64))
+
+
+def test_scan_prefix_puts_unrelated_reads_2_5_sigma_past_t():
+    # Over w words two unrelated reads differ in 32w bits on average, with
+    # standard deviation 4 sqrt(w): the prefix is the fewest w < W with
+    # 32w - t >= 10 sqrt(w), else all W.
+    assert decoder._scan_words(72, 4) == 3  # the noisy bench point
+    assert decoder._scan_words(12, 4) == 1  # the clean bench point
+    assert [decoder._scan_words(t, 15) for t in range(60, 64)] == [3] * 4
+    assert [decoder._scan_words(t, 2) for t in (1, 22, 23, 31)] == [1, 1, 2, 2]
+    assert [decoder._scan_words(t, 8) for t in (31, 32, 49, 50)] == [2, 2, 2, 3]
+    assert decoder._scan_words(239, 4) == 4
+
+
+def test_wide_reads_with_t_just_below_a_word_boundary_skip_the_dense_finish():
+    # L = 960 (W = 15), t = 62: over two words, 128 bits, unrelated reads
+    # differ by 64 bits on average, and about 40% of them stay within t, far
+    # more cells than pending reads. Three words put them 4.9 standard
+    # deviations past t, so each block lists its few survivors.
+    length = 960
+    rng = np.random.default_rng(62)
+    pool = rng.integers(0, 2, size=(150, length))
+    reads = pool[rng.integers(0, 150, 300)] ^ (rng.random((300, length)) < 0.02)
+    with finishes() as seen:
+        clusters = assert_same(bits_output(reads), 62.5 / length)
+    assert prefix_words(62, length) == 3
+    assert seen["listed"] and not seen["dense"]
+    assert len(clusters) < 300
 
 
 @hypothesis.settings(max_examples=150, deadline=None, derandomize=True)
@@ -513,9 +544,12 @@ def prefix_words(t, length):
 )
 def test_word_prefix_cut_matches_reference_scan(length, p, t_frac, strands, c, seed):
     words = -(-length // 64)
-    # With two words or more, t stays below 32 (W - 1), so the scan sums
-    # 2t // 64 + 1 < W words first; a one-word read has no suffix to cut.
-    t = 1 + int(t_frac * ((32 * (words - 1) if words > 1 else length + 1) - 2))
+    # With two words or more, t stays 2.5 standard deviations, 10 sqrt(W - 1)
+    # bits, below the 32 (W - 1) bits unrelated reads differ by on average
+    # over W - 1 words, so the scan sums fewer than W words first; a one-word
+    # read has no suffix to cut.
+    top = 32 * (words - 1) - 10 * math.sqrt(words - 1) if words > 1 else length
+    t = 1 + int(t_frac * (int(top) - 1))
     rng = np.random.default_rng(seed)
     pool = rng.integers(0, 2, size=(strands, length))
     n = max(1, round(c * strands))
