@@ -9,9 +9,7 @@ decoders stand in for capacity-achieving codes: they isolate the behaviour of
 the channel and the scheme thresholds without constructing codebooks.
 """
 
-import itertools
 import warnings
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -98,18 +96,17 @@ class Cluster:
         return len(self.members)
 
 
-class Clustering(Sequence):
-    """A read-only sequence of Clusters held as two int64 arrays: `sizes`,
-    one per cluster in order, and `members`, every cluster's read indices
-    one cluster after another.
+class Clustering:
+    """The clusters of a read set as two read-only int64 arrays: `sizes`, one
+    per cluster in order, and `members`, every cluster's read indices one
+    cluster after another.
 
-    The stage functions read the arrays; the Cluster objects (members as
-    Python ints) are built only when the sequence is first indexed or
-    iterated, then kept. A slice is a list of Clusters, and a Clustering
-    equals the list of the same Clusters, compared either way round.
+    The stage functions read the arrays. Iterating builds each Cluster
+    (members as Python ints) as it is reached; `list(clustering)` gives them
+    all. Two Clusterings are equal when their arrays are.
     """
 
-    __slots__ = ("sizes", "members", "_clusters")
+    __slots__ = ("sizes", "members")
 
     def __init__(self, sizes, members):
         sizes, members = _index_array(sizes, "sizes"), _index_array(members, "members")
@@ -117,31 +114,21 @@ class Clustering(Sequence):
             raise ValueError(f"cluster sizes must be non-negative and sum to the "
                              f"{members.size} members, got sum {sizes.sum()}")
         sizes.flags.writeable = members.flags.writeable = False
-        self.sizes, self.members, self._clusters = sizes, members, None
-
-    def _built(self):
-        if self._clusters is None:
-            flat, ends = self.members.tolist(), np.cumsum(self.sizes).tolist()
-            self._clusters = [Cluster(members=tuple(flat[start:end]))
-                              for start, end in zip([0, *ends], ends)]
-        return self._clusters
+        self.sizes, self.members = sizes, members
 
     def __len__(self):
         return self.sizes.size
 
-    def __getitem__(self, index):
-        return self._built()[index]
-
     def __iter__(self):
-        return iter(self._built())
+        flat, ends = self.members.tolist(), np.cumsum(self.sizes).tolist()
+        for start, end in zip([0, *ends], ends):
+            yield Cluster(members=tuple(flat[start:end]))
 
     def __eq__(self, other):
-        if isinstance(other, Clustering):
-            return (np.array_equal(self.sizes, other.sizes)
-                    and np.array_equal(self.members, other.members))
-        if isinstance(other, list):
-            return self._built() == other
-        return NotImplemented
+        if not isinstance(other, Clustering):
+            return NotImplemented
+        return (np.array_equal(self.sizes, other.sizes)
+                and np.array_equal(self.members, other.members))
 
     def __repr__(self):
         return f"Clustering({len(self)} clusters of {self.members.size} reads)"
@@ -178,7 +165,7 @@ class IndexDecodeResult:
 
     draws[i] is the size of the cluster assigned to strand i (0 when no
     cluster claimed it); assignments maps cluster position in the input
-    sequence to the decoded strand index.
+    Clustering to the decoded strand index.
     """
 
     draws: np.ndarray
@@ -553,23 +540,18 @@ def _fields(length, fields):
     return cut
 
 
-def _flattened(clusters):
-    """Each cluster's size, and every member in cluster order, as arrays: a
-    Clustering's own, or built from a list of Clusters."""
-    if isinstance(clusters, Clustering):
-        return clusters.sizes, clusters.members
-    groups = [c.members for c in clusters]
-    sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-    members = np.fromiter(itertools.chain.from_iterable(groups), dtype=np.int64,
-                          count=int(sizes.sum()))
-    return sizes, members
+def _check_clustering(clusters):
+    """Refuse stage input that is not a Clustering."""
+    if not isinstance(clusters, Clustering):
+        raise TypeError(f"clusters must be a Clustering(sizes, members), "
+                        f"got {type(clusters).__name__}")
 
 
 def _clean_strands(sizes, members, output):
     """Per cluster, the strand whose full read set it is, or -1 if it is not
     clean (mixed origins, some of its strand's reads missing, or empty).
-    sizes and members are the clusters as _flattened gives them; every
-    member must be a read index in [0, N)."""
+    sizes and members are a Clustering's arrays; every member must be a read
+    index in [0, N)."""
     strands = np.full(sizes.size, -1, dtype=np.int64)
     filled = np.flatnonzero(sizes)
     if filled.size:
@@ -587,11 +569,10 @@ def _clean_strands(sizes, members, output):
 
 def count_wrong_clusters(clusters, output):
     """Count clusters that are not exactly the full read set of one strand.
-    The clusters must partition the reads: each read in exactly one.
-
-    `clusters` is a Clustering, whose arrays are read as they are, or a list
-    of Clusters, flattened first; both are checked the same way."""
-    sizes, members = _flattened(clusters)
+    `clusters` is a Clustering; its arrays must partition the reads, each
+    read in exactly one cluster."""
+    _check_clustering(clusters)
+    sizes, members = clusters.sizes, clusters.members
     inside = members[(members >= 0) & (members < output.N)]
     covers = np.bincount(inside, minlength=output.N)
     if inside.size != members.size or (covers != 1).any():
@@ -610,12 +591,11 @@ def oracle_index_decode(clusters, output, params, r_ix):
     clusters count as wrong index decodings and are discarded. Should two
     clusters ever claim the same index, all its claimants are dropped.
 
-    `clusters` is a Clustering, whose arrays are read as they are, or a list
-    of Clusters, flattened first; either way every member must be a read
-    index in [0, N).
+    `clusters` is a Clustering; every member must be a read index in [0, N).
     """
     m = output.pool_size
-    sizes, members = _flattened(clusters)
+    _check_clustering(clusters)
+    sizes, members = clusters.sizes, clusters.members
     gtab = gated_capacity_table(params.p, int(sizes.max()) if sizes.size else 1, r_ix)
     strands = _clean_strands(sizes, members, output)
     kept = gtab[sizes] > 0.0

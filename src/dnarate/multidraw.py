@@ -238,17 +238,23 @@ def binary_entropy(x):
     return -x * math.log2(x) - (1.0 - x) * math.log2(1.0 - x)
 
 
-def _saturation(p):
-    """S(p), the first d with Z^d / ln 2 < 2^-54, Z = 2 sqrt(pq): 1 at p = 0,
-    inf at p = 1/2. As 1 - C_d <= log2(1 + Z^d) (Arikan, "Channel
-    Polarization", 2009, Prop. 1) and 2^-54 is half an ulp below 1.0, every
-    level from S(p) on is 1.0. Above p = 1/4, log Z^2 = log1p(-(1 - 2p)^2)
-    with 1 - 2p exact keeps S(p) finite and accurate up to p = 1/2."""
+def _bhattacharyya_depth(p, slack):
+    """The first d with Z^d / ln 2 < slack, Z = 2 sqrt(pq), for slack in
+    (0, 1): 1 at p = 0, inf at p = 1/2. As 1 - C_d <= log2(1 + Z^d) <= Z^d / ln 2
+    (Arikan, "Channel Polarization", 2009, Prop. 1), every level from it on
+    is above 1 - slack. Above p = 1/4, log Z^2 = log1p(-(1 - 2p)^2) with
+    1 - 2p exact keeps it finite and accurate up to p = 1/2."""
     if p == 0.0:
         return 1
     t = 1.0 - 2.0 * p
     log_z2 = math.log1p(-t * t) if p > 0.25 else math.log(4.0 * p * (1.0 - p))
-    return math.floor(2.0 * math.log(2.0**-54 * math.log(2.0)) / log_z2) + 1 if log_z2 else math.inf
+    return math.floor(2.0 * math.log(slack * math.log(2.0)) / log_z2) + 1 if log_z2 else math.inf
+
+
+def _saturation(p):
+    """S(p), the first d with Z^d / ln 2 < 2^-54 (see _bhattacharyya_depth):
+    as 2^-54 is half an ulp below 1.0, every level from S(p) on is 1.0."""
+    return _bhattacharyya_depth(p, 2.0**-54)
 
 
 # OpenBLAS splits a 1-D dot of more than this many entries over its own

@@ -21,6 +21,7 @@ import numpy as np
 # multi_draw_capacity is not called here, but bench/tracer.py wraps this
 # module's binding of it along with the two table functions.
 from .multidraw import (  # noqa: F401
+    _bhattacharyya_depth,
     _check_count,
     _check_draw_vector,
     _check_index_overhead,
@@ -30,6 +31,7 @@ from .multidraw import (  # noqa: F401
     _gate,
     _log_poisson_pmf,
     _mixture,
+    _saturation,
     binary_entropy,
     capacity_table,
     check_crossover,
@@ -507,14 +509,21 @@ def achievable_outer_rate_exact(params, scheme, tail_eps=1e-12):
     _check_unit(tail_eps, "tail_eps")
     types, weights, truncation, d_max = _exact_support(params, scheme.K, tail_eps)
     gtab = gated_capacity_table(params.p, d_max, scheme.r_ix)
-    # The winners' weights are moved in order to the front of `weights`, block
-    # by block: the sum of weights[means > r_in] without a full-length copy.
+    value = _winners_weight(types, weights, gtab, scheme.K, scheme.r_in)
+    return RateEstimate(value, 0.0, "exact", 0, truncation)
+
+
+def _winners_weight(types, weights, gtab, K, r_in):
+    """Total weight of the types whose gated block capacity exceeds r_in. The
+    winners' weights are moved in order to the front of `weights`, which is
+    overwritten, block by block: the sum of weights[means > r_in] without a
+    full-length copy."""
     won = 0
     for b in _row_blocks(types):
-        w = weights[b][_type_means(gtab, types[b], scheme.K) > scheme.r_in]
+        w = weights[b][_type_means(gtab, types[b], K) > r_in]
         weights[won : won + w.size] = w
         won += w.size
-    return RateEstimate(float(weights[:won].sum()), 0.0, "exact", 0, truncation)
+    return float(weights[:won].sum())
 
 
 def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
@@ -592,19 +601,24 @@ def r_max(params, epsilon=1e-3):
     gate C_d > r_ix keeps the draw counts d >= t, and the candidate's rate is
     the suffix sum of pi_d * C_d from t, times 1 - beta / r_ix; the first
     maximum wins. d_star is that t, which may lie below the candidate's d.
-    When no level in the support clears beta, the levels up to d = 1000 are
-    tried with zero mass beyond the support, which returns rate 0.0 at the
-    first one that does.
+    When no level in the support clears beta, the levels beyond it are
+    tried with zero mass, which returns rate 0.0 at the first one that does.
+    They end where a level is sure to: at the first d whose Bhattacharyya
+    bound puts C_d above beta / (1 - epsilon) (see _bhattacharyya_depth), at
+    most S(p), where C_d = 1.0. Only p = 1/2, or beta >= 1 - epsilon, has no
+    candidate.
     """
     _check_epsilon(epsilon)
     pmf, ctab = _capacity_terms(params, 1e-12)
     _, r_ix = _index_levels(ctab, params.beta, epsilon)
-    if r_ix.size == 0:
-        ctab = capacity_table(params.p, max(1000, len(ctab) - 1))
+    if r_ix.size == 0 and params.beta < 1.0 - epsilon and params.p != 0.5:
+        slack = 1.0 - params.beta / (1.0 - epsilon)
+        d_end = min(_bhattacharyya_depth(params.p, slack), _saturation(params.p))
+        ctab = capacity_table(params.p, max(d_end, len(ctab) - 1))
         pmf = np.pad(pmf, (0, len(ctab) - len(pmf)))
         _, r_ix = _index_levels(ctab, params.beta, epsilon)
-        if r_ix.size == 0:
-            raise ValueError("no feasible index-rate candidate above beta")
+    if r_ix.size == 0:
+        raise ValueError("no feasible index-rate candidate above beta")
     suffix = np.append(np.cumsum((pmf * ctab)[::-1])[::-1], 0.0)
     # The running max keeps t the first d with C_d > r_ix through float noise.
     t = np.searchsorted(np.maximum.accumulate(ctab), r_ix, side="right")
@@ -613,9 +627,10 @@ def r_max(params, epsilon=1e-3):
     return RMaxResult(float(vals[j]), int(t[j]), float(r_ix[j]))
 
 
-def gap_to_capacity(params, epsilon=1e-3, tail_eps=1e-12):
-    """Shortfall of the best large-K scheme rate against channel capacity."""
-    return channel_capacity(params, tail_eps) - r_max(params, epsilon).r_max
+def gap_to_capacity(params, epsilon=1e-3):
+    """Shortfall of the best large-K scheme rate against channel capacity,
+    both with the Poisson support r_max uses (tail mass 1e-12)."""
+    return channel_capacity(params) - r_max(params, epsilon).r_max
 
 
 def validate_scheme(params, scheme):
@@ -705,8 +720,10 @@ def optimize_scheme(
     best so far is skipped; the result is the first maximum of a full scan.
     The table is every draw-count type where _use_exact allows, else
     Monte-Carlo block histograms with the given budget and seed, shared by
-    all candidates; the reported outer rate is what the matching estimator
-    returns.
+    all candidates. The reported outer rate is what the matching estimator
+    returns for the chosen scheme, bit for bit: the exact one is summed again
+    by the estimator's own pass, as the sorted tail sums in another order.
+    The overall rate is the scheme's, from that outer rate.
     """
     _check_count(K, "K", positive=True)
     _check_count(samples, "samples", positive=True)
@@ -741,11 +758,12 @@ def optimize_scheme(
     if best is None or best[0] <= 0.0:
         raise ValueError("no scheme with positive rate exists for these parameters")
 
-    overall, d0, r_ix, r_in, r_out = best
+    _, d0, r_ix, r_in, r_out = best
     if use_exact:
+        r_out = _winners_weight(types, weights, _gate(ctab, r_ix), K, r_in)
         rate = RateEstimate(r_out, 0.0, "exact", 0, truncation)
     else:
         stderr = math.sqrt(r_out * (1.0 - r_out) / samples)
         rate = RateEstimate(r_out, stderr, "monte_carlo", samples, 0.0)
     scheme = SchemeParams(K, r_ix, r_in, r_out)
-    return OptimizeResult(scheme, rate, overall, d0)
+    return OptimizeResult(scheme, rate, scheme.overall(params.beta), d0)

@@ -748,7 +748,7 @@ GOLDEN = {
         ),
         (
             "K,d_candidate,R_ix,R_in,R_out,R,stderr,method\n"
-            "1,1,0.5304734020043081,0.5310044064107188,0.6321205588282577,0.3040211365135909,0.0,exact\n"
+            "1,1,0.5304734020043081,0.5310044064107188,0.6321205588282578,0.304021136513591,0.0,exact\n"
         ),
         (
             "{\n"
@@ -756,8 +756,8 @@ GOLDEN = {
             '  "d_candidate": 1,\n'
             '  "r_ix": 0.5304734020043081,\n'
             '  "r_in": 0.5310044064107188,\n'
-            '  "r_out": 0.6321205588282577,\n'
-            '  "r": 0.3040211365135909,\n'
+            '  "r_out": 0.6321205588282578,\n'
+            '  "r": 0.304021136513591,\n'
             '  "stderr": 0.0,\n'
             '  "method": "exact",\n'
             '  "samples": 0\n'
@@ -796,8 +796,8 @@ GOLDEN = {
         "",
         (
             "sweep_var,R_ix,R_in,R_out,R,stderr,method\n"
-            "1,0.5304734020043081,0.5310044064107188,0.6321205588282577,0.3040211365135909,0.0,exact\n"
-            "2,0.5304734020043081,0.2655022032053594,0.8646647167627394,0.20793213115920162,0.0,exact\n"
+            "1,0.5304734020043081,0.5310044064107188,0.6321205588282578,0.304021136513591,0.0,exact\n"
+            "2,0.5304734020043081,0.2655022032053594,0.8646647167627393,0.2079321311592016,0.0,exact\n"
         ),
         (
             "[\n"
@@ -805,8 +805,8 @@ GOLDEN = {
             '    "sweep_var": 1,\n'
             '    "R_ix": 0.5304734020043081,\n'
             '    "R_in": 0.5310044064107188,\n'
-            '    "R_out": 0.6321205588282577,\n'
-            '    "R": 0.3040211365135909,\n'
+            '    "R_out": 0.6321205588282578,\n'
+            '    "R": 0.304021136513591,\n'
             '    "stderr": 0.0,\n'
             '    "method": "exact"\n'
             "  },\n"
@@ -814,8 +814,8 @@ GOLDEN = {
             '    "sweep_var": 2,\n'
             '    "R_ix": 0.5304734020043081,\n'
             '    "R_in": 0.2655022032053594,\n'
-            '    "R_out": 0.8646647167627394,\n'
-            '    "R": 0.20793213115920162,\n'
+            '    "R_out": 0.8646647167627393,\n'
+            '    "R": 0.2079321311592016,\n'
             '    "stderr": 0.0,\n'
             '    "method": "exact"\n'
             "  }\n"

@@ -131,8 +131,9 @@ def forced_index():
 
 
 def assert_same(output, rho):
+    """greedy_cluster's clusters, as a list, once they match the reference's."""
     config = ClusteringConfig(rho=rho)
-    got = greedy_cluster(output, config)
+    got = list(greedy_cluster(output, config))
     assert got == reference_greedy_cluster(output, config)
     for cluster in got:
         assert all(type(m) is int for m in cluster.members)
@@ -447,7 +448,7 @@ class TestPigeonholeIndex:
         with sources() as seen:
             peak, clusters = traced_peak(greedy_cluster, out, config)
         assert seen == {"index": [False], "fields": 1}
-        assert clusters == reference_greedy_cluster(out, config)
+        assert list(clusters) == reference_greedy_cluster(out, config)
         with mock.patch.object(decoder, "_indexed_pairs", lambda *args: None):
             scan_peak, _ = traced_peak(greedy_cluster, out, config)
         assert peak <= scan_peak + 64 * 1024

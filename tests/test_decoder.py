@@ -81,7 +81,7 @@ class TestClusteringConfig:
         # rho = 1 is the only one-bit diameter at L = 1
         out = make_output([[0], [1], [0]], [0, 1, 0], pool_size=2)
         assert ClusteringConfig(rho=1.0).resolve(0.1) == 1.0
-        assert greedy_cluster(out, ClusteringConfig(rho=1.0)) == [Cluster((0, 1, 2))]
+        assert list(greedy_cluster(out, ClusteringConfig(rho=1.0))) == [Cluster((0, 1, 2))]
 
     def test_unresolved_config_rejected(self):
         out = make_output([[0] * 8], [0], pool_size=1)
@@ -148,26 +148,19 @@ class TestClustering:
         clusters = list(got)
         assert len(got) == len(clusters) == got.sizes.size > 3
         assert all(isinstance(c, Cluster) for c in clusters)
-        assert got[0] == clusters[0] and got[-1] == clusters[-1] == got[len(got) - 1]
-        assert got[-len(got)] == clusters[0]
-        with pytest.raises(IndexError):
-            got[len(got)]
-        assert got[1:3] == clusters[1:3] and type(got[1:3]) is list
-        assert got[::-1] == clusters[::-1]
         assert list(got) == clusters  # iterated twice
         assert [c.size for c in got] == got.sizes.tolist()
+        assert [r for c in got for r in c.members] == got.members.tolist()
+        with pytest.raises(TypeError):
+            got[0]  # a Clustering is not indexed; list(got) is
 
-    def test_equal_to_the_list_both_ways(self):
+    def test_equal_when_the_arrays_are(self):
         got = greedy_cluster(*self._noisy())
-        clusters = list(got)
-        assert got == clusters and clusters == got
-        assert not got != clusters and not clusters != got
-        swapped = [clusters[1], clusters[0], *clusters[2:]]
-        assert got != swapped and swapped != got
-        assert not got == swapped and not swapped == got
-        assert got != clusters[:-1] and clusters[:-1] != got
         assert got == Clustering(got.sizes, got.members)
+        assert not got != Clustering(got.sizes.tolist(), got.members.tolist())
         assert got != Clustering(got.sizes[::-1], got.members)
+        assert got != Clustering(got.sizes, got.members[::-1])
+        assert got != list(got) and list(got) != got  # a list is not a Clustering
 
     def test_members_are_ascending_python_ints(self):
         got = greedy_cluster(*self._noisy())
@@ -179,22 +172,19 @@ class TestClustering:
         with pytest.raises(ValueError):
             got.members[0] = 1  # read-only
 
-    def test_stages_read_the_arrays_as_they_read_the_list(self):
+    def test_stages_refuse_a_list_of_clusters(self):
         out, config = self._noisy()
-        got = greedy_cluster(out, config)
-        wrong = count_wrong_clusters(got, out)
-        index = oracle_index_decode(got, out, PARAMS, 0.5304)
         clusters = list(greedy_cluster(out, config))
-        assert wrong == count_wrong_clusters(clusters, out) > 0
-        listed = oracle_index_decode(clusters, out, PARAMS, 0.5304)
-        assert index.draws.tolist() == listed.draws.tolist()
-        assert index.assignments == listed.assignments
-        assert index.m_wrong_index == listed.m_wrong_index > 0
+        message = r"clusters must be a Clustering\(sizes, members\), got list"
+        with pytest.raises(TypeError, match=message):
+            count_wrong_clusters(clusters, out)
+        with pytest.raises(TypeError, match=message):
+            oracle_index_decode(clusters, out, PARAMS, 0.5304)
 
     def test_empty(self):
         out = make_output(np.zeros((0, 8)), [], pool_size=2)
         got = greedy_cluster(out, ClusteringConfig(rho=0.25))
-        assert len(got) == 0 and got == [] and [] == got and list(got) == []
+        assert len(got) == 0 and list(got) == [] and got == Clustering([], [])
         assert count_wrong_clusters(got, out) == 0
         assert oracle_index_decode(got, out, PARAMS, 0.5304).draws.tolist() == [0, 0]
 
@@ -219,30 +209,30 @@ class TestCountWrongClusters:
 
     def test_perfect(self):
         out = self._four_reads()
-        perfect = [Cluster((0, 1)), Cluster((2, 3))]
+        perfect = Clustering([2, 2], [0, 1, 2, 3])
         assert count_wrong_clusters(perfect, out) == 0
 
     def test_split_counts_both_pieces(self):
         out = self._four_reads()
-        split = [Cluster((0,)), Cluster((1,)), Cluster((2, 3))]
+        split = Clustering([1, 1, 2], [0, 1, 2, 3])
         assert count_wrong_clusters(split, out) == 2
 
     def test_merge_counts_once(self):
         out = self._four_reads()
-        merged = [Cluster((0, 1, 2, 3))]
+        merged = Clustering([4], [0, 1, 2, 3])
         assert count_wrong_clusters(merged, out) == 1
 
     def test_cover_checked(self):
         out = self._four_reads()
         with pytest.raises(ValueError):
-            count_wrong_clusters([Cluster((0, 1))], out)
+            count_wrong_clusters(Clustering([2], [0, 1]), out)
 
     @pytest.mark.parametrize("clusters", [
-        [Cluster((0, 0, 0, 0))],
-        [Cluster((0,)), Cluster((0,)), Cluster((0,)), Cluster((0,))],
-        [Cluster((0, 1)), Cluster((1, 2))],
-        [Cluster((0, 1)), Cluster((2, 4))],
-        [Cluster((0, 1)), Cluster((2, -1))],
+        Clustering([4], [0, 0, 0, 0]),
+        Clustering([1, 1, 1, 1], [0, 0, 0, 0]),
+        Clustering([2, 2], [0, 1, 1, 2]),
+        Clustering([2, 2], [0, 1, 2, 4]),
+        Clustering([2, 2], [0, 1, 2, -1]),
     ], ids=["one read N times", "N singletons of one read", "a read twice", "past N",
             "negative"])
     def test_clusters_must_partition_the_reads(self, clusters):
@@ -258,7 +248,7 @@ class TestOracleIndexDecode:
 
     def test_all_pure_all_recovered(self):
         out = self._output()
-        clusters = [Cluster((0, 1)), Cluster((2,)), Cluster((3, 4, 5))]
+        clusters = Clustering([2, 1, 3], range(6))
         res = oracle_index_decode(clusters, out, PARAMS, r_ix=0.5304)
         assert res.m_wrong_index == 0
         assert res.draws.tolist() == [2, 1, 0, 3]
@@ -266,14 +256,14 @@ class TestOracleIndexDecode:
 
     def test_size_one_dropped_between_levels(self):
         out = self._output()
-        clusters = [Cluster((0, 1)), Cluster((2,)), Cluster((3, 4, 5))]
+        clusters = Clustering([2, 1, 3], range(6))
         res = oracle_index_decode(clusters, out, PARAMS, r_ix=(C1 + C2) / 2)
         assert res.m_wrong_index == 0  # silent drop, not an index error
         assert res.draws.tolist() == [2, 0, 0, 3]
 
     def test_impure_cluster_discarded_and_counted(self):
         out = self._output()
-        clusters = [Cluster((0, 1)), Cluster((2, 3, 4)), Cluster((5,))]
+        clusters = Clustering([2, 3, 1], range(6))
         res = oracle_index_decode(clusters, out, PARAMS, r_ix=0.5304)
         # (2,3,4) mixes strands 1 and 3; (5,) misses part of strand 3's fiber
         assert res.m_wrong_index == 2
@@ -281,7 +271,7 @@ class TestOracleIndexDecode:
 
     def test_subset_of_fiber_is_not_clean(self):
         out = self._output()
-        clusters = [Cluster((0,)), Cluster((1,)), Cluster((2,)), Cluster((3, 4, 5))]
+        clusters = Clustering([1, 1, 1, 3], range(6))
         res = oracle_index_decode(clusters, out, PARAMS, r_ix=0.5304)
         assert res.m_wrong_index == 2  # the two halves of strand 0's fiber
         assert res.draws.tolist() == [0, 1, 0, 3]

@@ -13,6 +13,7 @@ from dnarate import (
     ChannelParams,
     EnumerationCapError,
     InstanceDims,
+    RMaxResult,
     SchemeParams,
     achievable_outer_rate_exact,
     achievable_outer_rate_mc,
@@ -701,6 +702,19 @@ class TestOverallRate:
         with pytest.raises(ValueError, match=message):
             InstanceDims.from_channel(params_for(1), 64).payload_length(0.05, 0.04)
 
+    @pytest.mark.parametrize("r_out", [1e-3, 0.632121, 1.0])
+    @pytest.mark.parametrize("beta", [1e-15, 0.05, 0.3])
+    def test_scheme_overall_is_overall_rate(self, beta, r_out):
+        scheme = SchemeParams(K=3, r_ix=0.530473, r_in=0.531004, r_out=r_out)
+        assert scheme.overall(beta) == overall_rate(
+            scheme.r_in, scheme.r_out, scheme.r_ix, beta)
+
+    @pytest.mark.parametrize("beta", [0.530473, 0.6, 1.0])
+    def test_scheme_overall_refuses_beta_at_or_above_r_ix(self, beta):
+        scheme = SchemeParams(K=3, r_ix=0.530473, r_in=0.531004, r_out=1.0)
+        with pytest.raises(ValueError, match=re.escape(f"beta ({beta}) must be below r_ix")):
+            scheme.overall(beta)
+
 
 class TestAsymptoticRate:
     def test_low_reading_rate(self):
@@ -759,6 +773,19 @@ class TestRMax:
         with pytest.raises(ValueError, match="no feasible"):
             r_max(ChannelParams(2, 0.05, 0.5))
 
+    def test_levels_past_a_thousand_draws(self):
+        # 0.999 C_1139 at p = 0.45 is the first level to clear beta = 0.9985;
+        # the levels are tried up to d = 1586, where Z^d / ln 2 < 1 - beta / 0.999
+        params = ChannelParams(1, 0.9985, 0.45)
+        assert r_max(params) == RMaxResult(0.0, 1139, 0.998501947794934)
+        assert multidraw._bhattacharyya_depth(0.45, 1 - 0.9985 / 0.999) == 1586
+        assert gap_to_capacity(params) == channel_capacity(params)
+
+    @pytest.mark.parametrize("beta", [0.999, 0.9995])
+    def test_no_level_clears_beta_at_or_past_one_minus_epsilon(self, beta):
+        with pytest.raises(ValueError, match="no feasible"):
+            r_max(ChannelParams(1, beta, 0.1))
+
     def test_rix_used_sits_below_the_level(self):
         res = r_max(params_for(10))
         lo = multi_draw_capacity(res.d_star - 1, 0.1)
@@ -800,6 +827,14 @@ class TestGapToCapacity:
         # the gap rises until c = 4 and only then falls monotonically
         gaps = [gap_to_capacity(params_for(c)) for c in (4, 6, 8, 10)]
         assert all(b < a for a, b in zip(gaps, gaps[1:]))
+
+    @pytest.mark.parametrize("c, beta, p", [(1, 0.05, 0.1), (4, 0.05, 0.1), (4, 0.05, 0.001),
+                                            (10, 0.3, 0.01), (2, 0.3, 0.45)])
+    def test_both_terms_on_one_support(self, c, beta, p):
+        params = ChannelParams(c, beta, p)
+        assert gap_to_capacity(params) == channel_capacity(params) - r_max(params).r_max
+        with pytest.raises(TypeError):
+            gap_to_capacity(params, tail_eps=0.1)  # a second cut could make the gap negative
 
 
 class TestValidateScheme:
@@ -875,12 +910,13 @@ class TestOptimizeScheme:
         assert est.value == res.rate.value
         assert est.stderr == res.rate.stderr
 
-    @pytest.mark.parametrize("c, K", [(1, 3), (2, 4)])
+    @pytest.mark.parametrize("c, K", [(1, 1), (1, 3), (2, 4), (2, 6), (3, 6)])
     def test_reported_outer_rate_is_the_exact_value(self, c, K):
         res = optimize_scheme(params_for(c), K, method="exact")
         est = achievable_outer_rate_exact(params_for(c), res.scheme)
-        assert abs(est.value - res.rate.value) <= 1e-12
+        assert est.value == res.rate.value == res.scheme.r_out
         assert est.truncation_mass == res.rate.truncation_mass
+        assert res.overall == res.scheme.overall(params_for(c).beta)
 
     @pytest.mark.parametrize("c", [1, 2])
     @pytest.mark.parametrize("K", [1, 2, 3])
@@ -930,10 +966,14 @@ class TestOptimizeScheme:
 
     @pytest.mark.parametrize("c, K, method", [(30, 100, "mc"), (2, 3, "exact")])
     def test_skipped_levels_never_win(self, c, K, method):
-        # the mean bound only skips levels a full scan would not pick
+        # the mean bound only skips levels a full scan would not pick; the
+        # outer rate reported for the pick is the matching estimator's
         params = params_for(c)
         res = optimize_scheme(params, K, samples=10_000, seed=0, method=method)
-        expected = self.full_scan(params, K, method == "exact", 10_000, 0)
+        _, d, r_ix, r_in, r_out = self.full_scan(params, K, method == "exact", 10_000, 0)
+        if method == "exact":
+            r_out = achievable_outer_rate_exact(params, SchemeParams(K, r_ix, r_in, 1.0)).value
+        expected = (overall_rate(r_in, r_out, r_ix, params.beta), d, r_ix, r_in, r_out)
         s = res.scheme
         assert (res.overall, res.d_candidate, s.r_ix, s.r_in, s.r_out) == expected
 
