@@ -71,13 +71,16 @@ _TABLE_TAIL = 1e-16
 # multinomial rows only tables wider than 64 entries, c above 18, split a
 # chunk), or type-table cells built, weighed or gathered.
 _HIST_CELLS = 1 << 22
-# Uniforms an alias-table MC batch draws at most. At 2^16 (1.6 MB of
+# Uniforms an alias-table MC batch draws at most, for the estimator's block
+# values and the optimiser's histograms alike. At 2^16 (1.6 MB of
 # temporaries) a batch runs as fast as larger ones, and malloc keeps less of
 # the freed batches resident in the worker threads' arenas: at 2^18 the
 # analysis benchmark's peak RSS rose from 303 to 314-320 MB.
 _ALIAS_DRAWS = 1 << 16
-# Bytes each of those draws holds at once: the uniform, its cell and the
-# cell's threshold (8 each), and the mask.
+# Bytes each of those draws holds at once, at most: the uniform, its slot and
+# the slot's threshold (8 each), and the mask. Once the uniform is freed, the
+# slot and either the float64 block value gathered for it or its int64 cell
+# take 16.
 _ALIAS_DRAW_BYTES = 25
 # Hard ceiling on exact enumeration, in type-table cells (types x stored columns).
 ENUM_CAP = 10**8
@@ -429,35 +432,52 @@ def _alias_table(masses):
     return top, cells
 
 
-def _alias_histograms(rng, table, K, rows):
-    """(rows, W) int64 histograms of K alias-table draws each: one uniform per
-    draw, read in row order, so consecutive calls continue one stream."""
-    top, cells = table
+def _alias_slots(rng, top, K, rows):
+    """(rows, K) slots of K alias-table draws each: one uniform per draw, read
+    in row order, so consecutive calls continue one stream. Slot 2j is cell j
+    and slot 2j + 1 its alias, so cells[slot] is the drawn cell, and a
+    per-cell table gathered at cells is read at the slots in one gather.
+    `top` holds the thresholds of _alias_table."""
     W = top.size
     x = rng.random((rows, K))
     x *= W
-    j = x.astype(np.intp)
-    moves = x >= top[j]
+    slots = x.astype(np.intp)
+    moves = x >= top[slots]
     del x
-    j <<= 1
-    j += moves  # one gather picks j or its alias, with no branch per draw
-    drawn = cells[j]
-    drawn += np.arange(0, rows * W, W)[:, None]  # row r counts into cells r*W + j
-    return np.bincount(drawn.ravel(), minlength=rows * W).reshape(rows, W)
+    slots <<= 1
+    slots += moves  # one gather picks j or its alias, with no branch per draw
+    return slots
 
 
-def _type_batches(seed, chunk_index, n, K, pmf):
-    """Draw-count histograms of one chunk's n sampled blocks, in row batches.
+def _alias_rows(K, pmf):
+    """Whether the estimator draws blocks of K draws from pmf faster as
+    alias-table rows than as multinomial rows.
 
-    Row j counts how many of block j's K i.i.d. draws take each value of the
-    tabulated Poisson law, of width W. A multinomial row walks the cells in
-    order, one binomial per cell until the K draws are placed, and each
-    binomial costs a set-up (a log and an exp) plus inversion steps that sum
-    to O(K). An alias-table row costs O(K) and no set-up. It is used when
-    K <= W, where it was 2-20 times faster at every point of BENCH_23.json's
-    grid; at K > W the rows stay multinomial, bit for bit those of earlier
-    versions. Either way rows follow multinomial(K, pmf), the leftover mass
-    in the last cell.
+    An alias row costs its K draws. A multinomial row draws one binomial for
+    each cell it visits, 1 + sum over d < W - 1 of (1 - F(d)^K) of them, F
+    the table's CDF. Where K times a cell's mass passes 30, numpy draws that
+    binomial by BTPE, at an extra set-up; elsewhere by inversion, one step
+    per draw it places. In units of one alias draw, the costs fitted on the
+    estimator's time per chunk (c from 0.5 to 100, K up to 2000, in
+    BENCH_26.json) are 4.6 a visited cell, 1.3 an inversion step and 10 a
+    BTPE cell, and 4 more for a multinomial row.
+    """
+    F = np.cumsum(pmf[:-1])
+    visited = 1.0 + float(np.sum(1.0 - F**K))
+    btpe = K * pmf > 30.0
+    steps = K * float(pmf[~btpe].sum())
+    return K < 4.0 + 4.6 * visited + 1.3 * steps + 10.0 * int(btpe.sum())
+
+
+def _drawn_batches(seed, chunk_index, n, K, pmf):
+    """One chunk's n sampled blocks, in row batches, as (cells, batch).
+
+    Every row is K i.i.d. draws from the tabulated Poisson law of width W,
+    the leftover mass in the last cell, as multinomial(K, pmf) draws them.
+    _alias_rows picks the sampler for the whole chunk. An alias batch is the
+    (rows, K) slots of _alias_slots, with the table's cells; a multinomial
+    batch is the (rows, W) int64 histograms of Generator.multinomial, bit
+    for bit those of earlier versions, with cells None.
 
     A multinomial batch holds at most _HIST_CELLS cells; an alias batch
     draws at most _ALIAS_DRAWS uniforms, and so few that their temporaries,
@@ -467,15 +487,40 @@ def _type_batches(seed, chunk_index, n, K, pmf):
     rng = substream(seed, "outer-rate-mc", chunk_index)
     W = pmf.size
     rows = min(n, max(1, _HIST_CELLS // W))
-    if K > W:
+    if not _alias_rows(K, pmf):
         for start in range(0, n, rows):
-            yield rng.multinomial(K, pmf, size=min(rows, n - start))
+            yield None, rng.multinomial(K, pmf, size=min(rows, n - start))
         return
-    table = _alias_table(pmf.tobytes())
+    top, cells = _alias_table(pmf.tobytes())
     draws = min(_ALIAS_DRAWS, rows * W * 8 // _ALIAS_DRAW_BYTES)
     rows = max(1, min(rows, draws // K))
     for start in range(0, n, rows):
-        yield _alias_histograms(rng, table, K, min(rows, n - start))
+        yield cells, _alias_slots(rng, top, K, min(rows, n - start))
+
+
+def _type_batches(seed, chunk_index, n, K, pmf):
+    """Draw-count histograms of one chunk's n sampled blocks, in the row
+    batches of _drawn_batches: row j counts how many of block j's K draws
+    take each value of the table. Alias slots are counted with bincount."""
+    W = pmf.size
+    for cells, batch in _drawn_batches(seed, chunk_index, n, K, pmf):
+        if cells is not None:
+            rows = len(batch)
+            batch = cells[batch]
+            batch += np.arange(0, rows * W, W)[:, None]  # row r counts into r*W + cell
+            batch = np.bincount(batch.ravel(), minlength=rows * W).reshape(rows, W)
+        yield batch
+
+
+def _block_values(seed, chunk_index, n, K, pmf, gtab):
+    """Gated block capacities of one chunk's n sampled blocks, in the row
+    batches of _drawn_batches, with no histogram of alias rows: the K drawn
+    slots gather _block_grid and the row sums them. Every K-term sum on that
+    grid is exact, so a row's value is the bits _hist_means gives its
+    histogram."""
+    grid = _block_grid(gtab, K)
+    for cells, batch in _drawn_batches(seed, chunk_index, n, K, pmf):
+        yield _hist_means(batch, gtab, K) if cells is None else grid[cells][batch].sum(axis=1) / K
 
 
 def _hist_means(h, gtab, K):
@@ -542,8 +587,8 @@ def achievable_outer_rate_mc(params, scheme, samples, seed=0, threads=1):
 
     def count(ci):
         return sum(
-            int((_hist_means(h, gtab, scheme.K) > scheme.r_in).sum())
-            for h in _type_batches(seed, ci, sizes[ci], scheme.K, pmf)
+            int((v > scheme.r_in).sum())
+            for v in _block_values(seed, ci, sizes[ci], scheme.K, pmf, gtab)
         )
 
     v = sum(_map_chunks(count, len(sizes), threads)) / samples

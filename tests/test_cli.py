@@ -301,8 +301,8 @@ class TestOptimize:
         code, out, _ = run(capsys, ["optimize", "--c", "10", "--beta", "0.05", "--p", "0.1",
                                     "--K", "100"])
         assert code == 0
-        assert out == ("d_candidate = 3\nR_ix = 0.861555\nR_in = 0.968007\n"
-                       "R_out = 0.995600\nR = 0.907817\nstderr = 0.000662\n"
+        assert out == ("d_candidate = 3\nR_ix = 0.861555\nR_in = 0.967625\n"
+                       "R_out = 0.997700\nR = 0.909373\nstderr = 0.000479\n"
                        "method = monte_carlo\n")
 
     def test_json_record(self, capsys):

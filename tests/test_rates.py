@@ -448,6 +448,10 @@ class TestMonteCarloOuterRate:
             achievable_outer_rate_mc(params_for(1), scheme, samples)
 
 
+# (c, the largest K the cost rule draws as alias-table rows)
+CROSSOVERS = [(0.5, 63), (2, 145), (10, 333)]
+
+
 class TestTypeSampler:
     def test_rows_are_multinomial(self):
         K, n = 7, 20_000
@@ -460,19 +464,23 @@ class TestTypeSampler:
 
     def test_batches_keep_the_chunk_stream(self):
         # c = 50 tables are wide enough that one chunk is drawn in batches by
-        # either sampler: alias-table rows at K <= W = 119, multinomial beyond
+        # either sampler: alias-table rows at K = 5, and multinomial rows at
+        # K = 5000, past the cost rule's crossover
         n = 65_536
         pmf = rates._sampling_masses(50.0)
         table = rates._alias_table(pmf.tobytes())
-        single_batch = {
-            5: lambda rng: rates._alias_histograms(rng, table, 5, n),
-            500: lambda rng: rng.multinomial(500, pmf, size=n),
-        }
-        for K, draw in single_batch.items():
-            batches = list(rates._type_batches(4, 2, n, K, pmf))
+        for K, alias in ((5, True), (5000, False)):
+            assert rates._alias_rows(K, pmf) == alias
+            batches = list(rates._drawn_batches(4, 2, n, K, pmf))
             assert len(batches) > 1
-            whole = draw(rates.substream(4, "outer-rate-mc", 2))
-            assert np.array_equal(np.vstack(batches), whole)
+            rng = rates.substream(4, "outer-rate-mc", 2)
+            if alias:
+                whole = rates._alias_slots(rng, table[0], K, n)
+                hist = slot_histograms(whole, table[1], pmf.size)
+            else:
+                whole = hist = rng.multinomial(K, pmf, size=n)
+            assert np.array_equal(np.vstack([batch for _, batch in batches]), whole)
+            assert np.array_equal(np.vstack(list(rates._type_batches(4, 2, n, K, pmf))), hist)
 
     @pytest.mark.parametrize("c", [0.5, 2, 10, 50, 10**4])
     def test_alias_table_holds_the_multinomial_law(self, c):
@@ -498,20 +506,24 @@ class TestTypeSampler:
         se = np.sqrt(law * (1 - law) / n)
         assert np.all(np.abs(h.mean(axis=0) - law) <= 5 * se)
 
-    @pytest.mark.parametrize("c", [0.5, 2, 10])
-    def test_sampler_rule_is_block_size_against_table_width(self, c):
-        # K <= W draws alias-table rows; K > W draws the multinomial rows of
-        # the chunk's substream, bit for bit as before the alias table
+    @pytest.mark.parametrize("c, last_alias_K", CROSSOVERS)
+    def test_sampler_rule_is_the_cost_rule(self, c, last_alias_K):
+        # alias-table rows up to the crossover, multinomial rows beyond it,
+        # each the chunk's substream drawn by that sampler in one batch; the
+        # crossover lies past the table width W, where the K <= W rule had it
         n = 3_000
         pmf = rates._sampling_masses(float(c))
         W = pmf.size
+        picks = [rates._alias_rows(K, pmf) for K in range(1, 2001)]
+        assert picks == [K <= last_alias_K for K in range(1, 2001)]
+        assert last_alias_K > W
         table = rates._alias_table(pmf.tobytes())
-        for K in (1, 10, W, W + 1, 31, 100, 1000):
+        for K in (1, 10, W, W + 1, 31, 100, last_alias_K, last_alias_K + 1, 1000):
             drawn = np.vstack(list(rates._type_batches(7, 1, n, K, pmf)))
             assert np.all(drawn.sum(axis=1) == K)
             rng = rates.substream(7, "outer-rate-mc", 1)
-            if K <= W:
-                expected = rates._alias_histograms(rng, table, K, n)
+            if K <= last_alias_K:
+                expected = slot_histograms(rates._alias_slots(rng, table[0], K, n), table[1], W)
             else:
                 expected = rng.multinomial(K, pmf, size=n)
             assert np.array_equal(drawn, expected), K
@@ -535,44 +547,67 @@ class TestTypeSampler:
             assert abs(exact.value - mc.value) <= 5 * mc.stderr + exact.truncation_mass
 
     @pytest.mark.parametrize(
-        "c, K, n", [(0.5, 1, 65_536), (2, 23, 20_000), (50, 119, 65_536), (2, 7, 300)]
+        "c, K, n",
+        [
+            (0.5, 1, 65_536),
+            (2, 23, 20_000),
+            (50, 119, 65_536),
+            (2, 7, 300),
+            (2, 100, 20_000),
+            (10, 300, 20_000),
+        ],
     )
     def test_alias_batches_hold_no_more_than_a_multinomial_batch(self, c, K, n):
+        # both consumers of alias rows: the count matrix's histograms and the
+        # estimator's block values, at points below and past W
         pmf = rates._sampling_masses(float(c))
         W = pmf.size
+        assert rates._alias_rows(K, pmf)
         cell_bytes = 8 * min(n, rates._HIST_CELLS // W) * W  # one multinomial batch
-        batches = rates._type_batches(1, 0, n, K, pmf)
-        rows = 0
-        tracemalloc.start()
-        try:
-            while True:
-                before = tracemalloc.get_traced_memory()[0]
-                tracemalloc.reset_peak()
-                h = next(batches, None)
-                if h is None:
-                    break
-                temporaries = tracemalloc.get_traced_memory()[1] - before - h.nbytes
-                assert h.nbytes <= cell_bytes and temporaries <= cell_bytes
-                rows += len(h)
-                del h
-        finally:
-            tracemalloc.stop()
-        assert rows == n
+        gtab = rates.gated_capacity_table(0.1, W - 1, RIX1)
+        for batches in (
+            rates._type_batches(1, 0, n, K, pmf),
+            rates._block_values(1, 0, n, K, pmf, gtab),
+        ):
+            rows = 0
+            tracemalloc.start()
+            try:
+                while True:
+                    before = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    h = next(batches, None)
+                    if h is None:
+                        break
+                    temporaries = tracemalloc.get_traced_memory()[1] - before - h.nbytes
+                    assert h.nbytes <= cell_bytes and temporaries <= cell_bytes
+                    rows += len(h)
+                    del h
+            finally:
+                tracemalloc.stop()
+            assert rows == n
 
     def test_optimizer_and_estimator_share_histograms(self):
-        params, K, seed = params_for(2), 6, 8
-        samples = rates.MC_CHUNK + 5_000
-        counts = rates._sample_count_matrix(params, K, samples, seed, threads=2)
-        assert np.array_equal(counts, rates._sample_count_matrix(params, K, samples, seed))
-        pmf = rates._sampling_masses(2.0)
-        for ci, (lo, n) in enumerate([(0, rates.MC_CHUNK), (rates.MC_CHUNK, 5_000)]):
-            drawn = np.vstack(list(rates._type_batches(seed, ci, n, K, pmf)))
-            assert np.array_equal(counts[lo : lo + n], drawn)
-        scheme = SchemeParams(K=K, r_ix=RIX1, r_in=0.47, r_out=1.0)
-        gtab = rates.gated_capacity_table(0.1, counts.shape[1] - 1, RIX1)
-        wins = int((rates._hist_means(counts, gtab, K) > 0.47).sum())
-        est = achievable_outer_rate_mc(params, scheme, samples, seed=seed)
-        assert est.value == wins / samples
+        # the estimator sums alias rows without a histogram, and still counts
+        # exactly the blocks whose histogram row wins in the count matrix: at
+        # alias points below and past W and at a multinomial point
+        seed, samples = 8, rates.MC_CHUNK + 5_000
+        for c, K, alias in ((2, 6, True), (10, 100, True), (2, 1000, False)):
+            params, pmf = params_for(c), rates._sampling_masses(float(c))
+            assert rates._alias_rows(K, pmf) == alias
+            counts = rates._sample_count_matrix(params, K, samples, seed)
+            for ci, (lo, n) in enumerate([(0, rates.MC_CHUNK), (rates.MC_CHUNK, 5_000)]):
+                drawn = np.vstack(list(rates._type_batches(seed, ci, n, K, pmf)))
+                assert np.array_equal(counts[lo : lo + n], drawn)
+            r_in = mean_gated_capacity(params, RIX1)
+            scheme = SchemeParams(K=K, r_ix=RIX1, r_in=r_in, r_out=1.0)
+            gtab = rates.gated_capacity_table(0.1, counts.shape[1] - 1, RIX1)
+            wins = int((rates._hist_means(counts, gtab, K) > r_in).sum())
+            assert 0 < wins < samples
+            for threads in (1, 2):
+                again = rates._sample_count_matrix(params, K, samples, seed, threads)
+                assert np.array_equal(counts, again)
+                est = achievable_outer_rate_mc(params, scheme, samples, seed, threads)
+                assert est.value == wins / samples
 
     def test_count_matrix_holds_counts_past_32_bits(self):
         # uint32 cells wrapped at K = 2^36: each row summed to 12,884,901,888
@@ -583,6 +618,11 @@ class TestTypeSampler:
         best = optimize_scheme(params_for(2), K, samples=50, method="mc")
         mean = mean_gated_capacity(params_for(2), best.scheme.r_ix)
         assert best.scheme.r_in == pytest.approx(mean, abs=1e-4)
+
+
+def slot_histograms(slots, cells, W):
+    """Reference histograms of alias-table slots, one bincount per row."""
+    return np.array([np.bincount(cells[row], minlength=W) for row in slots])
 
 
 def law_of(pmf):
@@ -635,6 +675,16 @@ class TestHistMeans:
         for n in (1, 3, 17, 4_099, 19_999):
             assert np.array_equal(means[:n], bits(rates._hist_means(h[:n], gtab, K)))
         assert np.array_equal(means[5:], bits(rates._hist_means(h[5:], gtab, K)))
+
+    @pytest.mark.parametrize("c, K", [(2, 10), (10, 100), (50, 5), (2, 1000), (10, 10**4)])
+    def test_block_values_are_the_histogram_means(self, c, K):
+        # the estimator's values, gathered on alias rows, against the count
+        # matrix's histograms of the same draws
+        pmf = rates._sampling_masses(float(c))
+        gtab = rates.gated_capacity_table(0.1, len(pmf) - 1, 0.5)
+        h = np.vstack(list(rates._type_batches(3, 0, 20_000, K, pmf)))
+        values = np.concatenate(list(rates._block_values(3, 0, 20_000, K, pmf, gtab)))
+        assert np.array_equal(bits(values), bits(rates._hist_means(h, gtab, K)))
 
     def test_rows_bit_identical_on_worker_threads(self):
         K, seed = 100, 6
