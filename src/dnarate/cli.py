@@ -18,7 +18,6 @@ import sys
 
 from .channel import dump_channel, load_channel
 from .decoder import (
-    DEFAULT_DISTANCE_BUDGET,
     BudgetError,
     ClusteringConfig,
     _pipeline_setup,
@@ -336,9 +335,7 @@ def cmd_simulate(args):
         ).reports
     else:
         # The one trial, drawn once: decoded as run_pipeline would, then dumped.
-        dims, config = _pipeline_setup(
-            params, scheme, args.M, 1, clustering, DEFAULT_DISTANCE_BUDGET, args.threads
-        )
+        dims, config = _pipeline_setup(params, scheme, args.M, 1, clustering, args.threads)
         output = _trial_output(params, dims, args.seed, 0)
         reports = (decode(output, params, scheme, config),)
         try:

@@ -39,23 +39,24 @@ __all__ = [
     "DEFAULT_DISTANCE_BUDGET",
 ]
 
-# Pairwise-distance work cap for run_pipeline, in units of N^2 * L. Clustering
-# runs on the U <= N distinct reads, with one of two pair sources (see
-# greedy_cluster). In the blocked scan, each read is a seed at most once,
-# compared with the pending reads after its block's first seed: at most
-# U^2/2 + 32U cells. A cell sums a prefix of the words and, if it is still
-# within the diameter, the rest, so it costs at most L bits. The pigeonhole
-# index sorts t + 1 <= L fields of the U reads. A field's offset passes
-# compare its U sorted values once and each of its collisions once more,
-# and each collision costs one distance; the index runs only while the
-# collisions stay under U^2/2 such distances. Each member is compared once
-# with its seed's later candidates: at most U^2/2 more. So N^2 distances
-# of L bits, plus L sorts of U values, still bound the work.
-DEFAULT_DISTANCE_BUDGET = 1e11
+# Clustering work cap, in scan words (the time the blocked scan takes to sum
+# one 64-bit word for one pair): the work of the pair source greedy_cluster
+# picks for the U distinct reads, U(U - 1)/2 * prefix for the scan or the
+# field collisions times their price for the index. Left out: the field
+# sorts, the walk's member passes and the scan's finishes; at wide
+# diameters, where prefix = W, those are at most about the counted work
+# again. At the noisy point (c = 2, p = 0.1, rho = 0.3), 2^34 admits
+# M = 32,768 (8.6e9 words; 3.3 s a trial on one core of an Intel Xeon, numpy
+# 2.4) and M = 46,000 (1.7e10 words; 7.7 s), and refuses M = 65,536 (3.4e10).
+DEFAULT_DISTANCE_BUDGET = 2.0**34
+# Bytes a pipeline instance may draw, checked before the first draw: the
+# pool's unpacked bits (M * L, the largest array), then the packed reads,
+# origins and flip counts (N * (ceil(L / 8) + 16)).
+_INSTANCE_BYTES = 2**29
 
 
 class BudgetError(RuntimeError):
-    """Requested simulation exceeds the pairwise-distance work budget."""
+    """Requested simulation exceeds the clustering work or instance byte budget."""
 
 
 def _check_rho(rho):
@@ -198,9 +199,9 @@ _LIST_WALK = 32
 # inside it, it still spans at most 64 bits, one shift of a two-word window.
 _FIELD_BITS = 57
 # Checking one field collision of reads of W 64-bit words takes about as
-# long as the blocked scan summing a + b W words (see greedy_cluster). Wider
-# reads cross over at larger t, where near pairs share more fields: a < 0.
-_COLLISION_COST = (-100, 125)
+# long as the blocked scan summing a + b W words, at most c (see
+# greedy_cluster).
+_COLLISION_COST = (-100, 125, 320)
 
 
 def greedy_cluster(output, config):
@@ -242,17 +243,22 @@ def greedy_cluster(output, config):
       that only just puts the mean past t would keep about half of them.
       At L = 240 and t = 72, three words of four; at L = 960 and t = 60,
       three of fifteen.
-    The rule between them compares costs from L, t and W alone, before any
-    field is cut. The scan sums that prefix's words per pair. Two
-    random reads share a field value with chance sum(2^-width), and one
-    such collision takes about as long to check as the scan takes to sum
-    125 W - 100 words (numpy 2.4 on x86-64, fitted on c = 2 channel reads
-    for W = 1 to 15). The index is taken iff that chance times 125 W - 100
-    is at most the scan's words: at L = 240, for t <= 17. An input whose
-    fields collide far more often than random reads' is caught while they
-    are sorted, before any pair is built, and takes the scan. So the clean
-    bench point (t = 12 of 240 bits, thirteen fields of 18 or 19 bits) takes
-    the index, and the noisy one (t = 72) the scan without sorting a field.
+    The rule between them prices both in scan words, the time the scan
+    takes to sum one 64-bit word for one pair: over the U distinct reads,
+    U(U - 1)/2 * prefix for the scan. One field collision takes about as
+    long to check as min(125 W - 100, 320) words (numpy 2.4 on x86-64). The
+    line is fitted on the crossovers of c = 2 reads for W = 1 to 15; the
+    cap holds because counted collisions cost 200 to 330 words each for
+    W = 4 to 15, c = 2 to 4 and p = 0.01 to 0.05. Random reads would have
+    U(U - 1)/2 * sum(2^-width) collisions; if that prices the index above
+    the scan, no field is sorted (at L = 240, for t > 17). Otherwise the
+    collisions are counted while the fields are sorted, before any pair is
+    built, and the index is taken iff the count keeps it at most the scan.
+    If the chosen source's work passes DEFAULT_DISTANCE_BUDGET, BudgetError
+    is raised before any pair list or scan buffer exists. So the clean bench
+    point (t = 12 of 240 bits, thirteen fields of 18 or 19 bits: about 300
+    collisions, 9e4 words against the scan's 7.5e6) takes the index, and
+    the noisy one (t = 72) the scan without sorting a field.
     """
     if config.rho is None:
         raise ValueError(
@@ -280,14 +286,21 @@ def _greedy_labels(rows, t, span, length):
     """Cluster label of each read under the greedy rule with diameter t bits;
     clusters are numbered in seed order. rows holds one read of `length` bits
     per row as 64-bit words, padding bits zero; span is an unsigned dtype
-    that holds any distance."""
-    assigned = bytearray(rows.shape[0])
-    prefix = _scan_words(t, rows.shape[1])
-    pairs = _indexed_pairs(rows, t, length, prefix)
-    if pairs is None:
+    that holds any distance. Raises BudgetError when the cheaper pair
+    source's work (see greedy_cluster) passes DEFAULT_DISTANCE_BUDGET."""
+    n, words = rows.shape
+    assigned = bytearray(n)
+    prefix = _scan_words(t, words)
+    scan = n * (n - 1) / 2 * prefix
+    index, groups = _index_work(rows, t, length, min(scan, DEFAULT_DISTANCE_BUDGET))
+    source, work = ("index", index) if index <= scan else ("scan", scan)
+    if work > DEFAULT_DISTANCE_BUDGET:
+        raise BudgetError(f"clustering {n:,} distinct reads by the {source} takes {work:,.0f} "
+                          f"scan words, over the budget of {DEFAULT_DISTANCE_BUDGET:,.0f}")
+    if source == "scan":
         seeds = _scanned_seeds(rows, t, span, assigned, prefix)
     else:
-        seeds = _listed_seeds(pairs, assigned)
+        seeds = _listed_seeds(_indexed_pairs(rows, t, groups), assigned)
     roots = np.array(_walk(rows, t, span, seeds, assigned), dtype=np.int64)
     seeded = roots == np.arange(roots.size)  # a seed is its own cluster's root
     return (np.cumsum(seeded) - 1)[roots]
@@ -455,29 +468,25 @@ def _listed_seeds(pairs, assigned):
             yield seed, hi[bounds[k]:bounds[k + 1]]
 
 
-def _indexed_pairs(rows, t, length, prefix):
-    """Pair source 2, the pigeonhole index: every pair of reads within t bits,
-    as (lo, hi) arrays with lo < hi, sorted by lo then hi; or None when the
-    scan, which sums `prefix` words per pair, costs less (see
-    greedy_cluster).
-
-    Each field's values are sorted, and reads with equal values collide; all
-    collisions are counted before any pair is built. A field's pass k then
-    checks the reads k places apart in sorted order whose values are equal,
-    among those equal k - 1 apart: each collision once, at most U per pass.
-    """
+def _index_work(rows, t, length, limit):
+    """The pigeonhole index's work in scan words (see greedy_cluster) and, per
+    field, the reads that share a value and the values, sorted; infinite
+    work when t + 1 fields do not fit in the L bits. Once the work passes
+    `limit`, no more fields are sorted and the groups are None: the work is
+    then the random reads' expectation if no field was sorted, else the
+    collisions counted so far."""
     n, words = rows.shape
     fields = t + 1
     if fields > length:
-        return None
+        return np.inf, None
     q, r = divmod(length, fields)  # r fields of q + 1 bits, the rest of q
     chance = (fields - r) * 2.0 ** -min(q, _FIELD_BITS) + r * 2.0 ** -min(q + 1, _FIELD_BITS)
-    base, per_word = _COLLISION_COST
-    if chance * (base + per_word * words) > prefix:
-        return None
-    budget = n * (n - 1) / 2 * prefix / words  # the scan's words, in distances
-    groups = []  # per field: the reads that share a value, and the values, sorted
-    collisions = 0
+    base, per_word, most = _COLLISION_COST
+    cost = min(base + per_word * words, most)  # per collision
+    work = n * (n - 1) / 2 * chance * cost
+    if work > limit:
+        return work, None
+    groups, collisions = [], 0
     for word, shift, mask in _fields(length, fields):
         values = rows[:, word] >> np.uint64(shift)
         if shift + mask.bit_length() > 64:
@@ -487,11 +496,24 @@ def _indexed_pairs(rows, t, length, prefix):
         values = values[order]
         sizes = np.diff(np.flatnonzero(values[1:] != values[:-1]) + 1, prepend=0, append=n)
         collisions += int((sizes * (sizes - 1) // 2).sum())
-        if collisions > budget:
-            return None
+        if collisions * cost > limit:
+            return collisions * cost, None
         shared = np.repeat(sizes > 1, sizes)
         # After the last run, a value that no field of at most 57 bits takes.
         groups.append((order[shared], np.append(values[shared], ~np.uint64(0))))
+    return collisions * cost, groups
+
+
+def _indexed_pairs(rows, t, groups):
+    """Pair source 2, the pigeonhole index: every pair of reads within t bits,
+    as (lo, hi) arrays with lo < hi, sorted by lo then hi, from each field's
+    reads that share a value (see _index_work).
+
+    A field's pass k checks the reads k places apart in sorted order whose
+    values are equal, among those equal k - 1 apart: each collision once, at
+    most U per pass.
+    """
+    n = rows.shape[0]
     heads, tails = [np.empty(0, dtype=np.int64)], [np.empty(0, dtype=np.int64)]
     for ids, values in groups:
         at, k = np.flatnonzero(values[1:] == values[:-1]), 1
@@ -683,35 +705,16 @@ def _trial_output(params, dims, seed, t):
     return simulate_channel(pool, params, derive_seed(seed, "pipeline.channel", t))
 
 
-def _suggest_m(params, budget, K):
-    m = 2
-    best = None
-    while True:
-        try:
-            dims = InstanceDims.from_channel(params, m, 1)
-        except ValueError:
-            break
-        if dims.N**2 * dims.L > budget:
-            break
-        if m % K == 0:
-            best = m
-        m *= 2
-    return best
-
-
-def _pipeline_setup(params, scheme, M, trials, clustering, budget, threads):
-    """run_pipeline's checks, before any draw: the instance dimensions and
-    the clustering config resolved for params.p."""
+def _pipeline_setup(params, scheme, M, trials, clustering, threads):
+    """run_pipeline's checks, before any draw: the instance dimensions, within
+    _INSTANCE_BYTES, and the clustering config resolved for params.p."""
     _check_count(trials, "trials", positive=True)
     _check_threads(threads)
     dims = InstanceDims.from_channel(params, M, scheme.K)
-    work = dims.N**2 * dims.L
-    if work > budget:
-        hint = _suggest_m(params, budget, scheme.K)
-        hint_msg = f"; try M <= {hint}" if hint else ""
-        raise BudgetError(
-            f"N^2*L = {work:.3g} exceeds the distance budget {budget:.3g}{hint_msg}"
-        )
+    size = dims.M * dims.L + dims.N * (-(-dims.L // 8) + 16)
+    if size > _INSTANCE_BYTES:
+        raise BudgetError(f"M = {dims.M:,} strands of L = {dims.L} bits and N = {dims.N:,} reads "
+                          f"draw {size:,} bytes, over the bound of {_INSTANCE_BYTES:,}")
     verdict = validate_scheme(params, scheme)
     if not verdict.ok:
         warnings.warn(
@@ -722,23 +725,14 @@ def _pipeline_setup(params, scheme, M, trials, clustering, budget, threads):
     return dims, (clustering or ClusteringConfig()).resolved(params.p)
 
 
-def run_pipeline(
-    params,
-    scheme,
-    M,
-    trials,
-    seed=0,
-    clustering=None,
-    budget=DEFAULT_DISTANCE_BUDGET,
-    threads=1,
-):
+def run_pipeline(params, scheme, M, trials, seed=0, clustering=None, threads=1):
     """Run the full decode pipeline end to end for several trials.
 
     Each trial draws a fresh pool and channel output (deterministically from
     the master seed and the trial index) and runs decode on it. Schemes
     failing validate_scheme produce a warning but still run.
     """
-    dims, config = _pipeline_setup(params, scheme, M, trials, clustering, budget, threads)
+    dims, config = _pipeline_setup(params, scheme, M, trials, clustering, threads)
 
     def one_trial(t):
         return decode(_trial_output(params, dims, seed, t), params, scheme, config)

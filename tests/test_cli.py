@@ -380,13 +380,20 @@ class TestSimulate:
         assert code == 2
         assert "trials" in err
 
-    def test_budget_exceeded_exits_5(self, capsys):
-        big = ["simulate", "--c", "2", "--beta", "0.05", "--p", "0.1",
-               "--K", "2", "--rix", "0.5304", "--rin", "0.4", "--rout", "0.8",
-               "--M", str(2**20), "--trials", "1"]
-        code, _, err = run(capsys, big)
+    def test_budget_exceeded_exits_5(self, capsys, monkeypatch):
+        # The error names the pair source, its work and the budget.
+        monkeypatch.setattr(decoder, "DEFAULT_DISTANCE_BUDGET", 1000)
+        code, _, err = run(capsys, [*self.ARGS, "--trials", "2", "--threads", "2"])
         assert code == 5
-        assert "budget" in err and "try M" in err
+        assert "distinct reads by the scan takes" in err and "over the budget of 1,000" in err
+
+    def test_huge_M_exits_5_before_any_draw(self, capsys, monkeypatch):
+        monkeypatch.setattr(decoder, "random_pool", mock.Mock(side_effect=AssertionError))
+        start = time.perf_counter()
+        code, _, err = run(capsys, [*self.ARGS[:-4], "--M", str(2**30), "--trials", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 5
+        assert "M = 1,073,741,824 strands of L = 600 bits" in err and "bytes, over the bound" in err
 
     # The clean point at p = 0, where the pigeonhole index lists the near pairs.
     CLEAN = ["simulate", "--c", "3", "--beta", "0.05", "--p", "0",
@@ -437,6 +444,16 @@ class TestReplay:
         assert fields["t"] == row[5]
         assert fields["success"] == row[6]
 
+    def test_replay_of_an_over_budget_dump_exits_5(self, capsys, tmp_path, monkeypatch):
+        dump = tmp_path / "chan.bin"
+        code, _, _ = run(capsys, [*SIM, "--trials", "1", "--dump", str(dump)])
+        assert code == 0
+        monkeypatch.setattr(decoder, "DEFAULT_DISTANCE_BUDGET", 1000)
+        code, _, err = run(capsys, ["replay", "--in", str(dump), "--p", "0.1", *SCHEME,
+                                    "--rout", "0.8"])
+        assert code == 5
+        assert "distinct reads by the scan takes" in err and "over the budget of 1,000" in err
+
     @pytest.mark.parametrize("fmt", ["csv", "json"])
     def test_replay_writes_the_simulate_table(self, capsys, tmp_path, fmt):
         dump, sim_out, replay_out = tmp_path / "d.bin", tmp_path / "a", tmp_path / "b"
@@ -477,12 +494,15 @@ class TestReplay:
         assert (tmp_path / "dumped").read_bytes() == (tmp_path / "plain").read_bytes()
         assert dump.stat().st_size > 0
 
-    def test_dump_keeps_the_budget_exit_and_the_scheme_warning(self, capsys, tmp_path):
+    def test_dump_keeps_the_budget_exit_and_the_scheme_warning(
+        self, capsys, tmp_path, monkeypatch
+    ):
         dump = tmp_path / "chan.bin"
-        code, _, err = run(
-            capsys, [*SIM[:-1], str(2**20), "--trials", "1", "--dump", str(dump)]
-        )
-        assert code == 5 and "budget" in err
+        with monkeypatch.context() as patch:
+            patch.setattr(decoder, "DEFAULT_DISTANCE_BUDGET", 1000)
+            code, _, err = run(capsys, [*SIM, "--trials", "1", "--dump", str(dump)])
+        assert code == 5
+        assert "distinct reads by the scan takes" in err and "over the budget of 1,000" in err
         assert not dump.exists()
         bad = ["simulate", *CH, "--K", "2", "--rix", "0.06", "--rin", "0.04",
                "--rout", "0.8", "--M", "64", "--trials", "1", "--dump", str(dump)]

@@ -6,8 +6,8 @@ return the same clusters, in the same order, with the same members. The scan
 sees every read, duplicates included, so it also checks that clustering the
 distinct reads once gives the rule's clusters. Both of greedy_cluster's pair
 sources are checked: `sources` records which one each call took, and
-`forced_index` prices the scan at infinity for the index's cost test, so
-the pigeonhole index also runs where its cost rule would take the scan.
+`forced_index` prices a field collision at zero, so the pigeonhole index
+also runs where its cost rule would take the scan.
 """
 
 import contextlib
@@ -105,29 +105,37 @@ def sources():
     """Records, per greedy_cluster call, whether the pigeonhole index listed
     the pairs, and counts the calls that cut the bits into fields to sort."""
     seen = {"index": [], "fields": 0}
-    pairs, fields = decoder._indexed_pairs, decoder._fields
+    listed, scanned, fields = decoder._listed_seeds, decoder._scanned_seeds, decoder._fields
 
-    def spy_pairs(*args):
-        found = pairs(*args)
-        seen["index"].append(found is not None)
-        return found
+    def spy_listed(*args):
+        seen["index"].append(True)
+        return listed(*args)
+
+    def spy_scanned(*args):
+        seen["index"].append(False)
+        return scanned(*args)
 
     def spy_fields(*args):
         seen["fields"] += 1
         return fields(*args)
 
-    with mock.patch.object(decoder, "_indexed_pairs", spy_pairs), \
+    with mock.patch.object(decoder, "_listed_seeds", spy_listed), \
+            mock.patch.object(decoder, "_scanned_seeds", spy_scanned), \
             mock.patch.object(decoder, "_fields", spy_fields):
         yield seen
 
 
 def forced_index():
-    """Prices the scan at infinity for the index's cost test and collision
-    guard only, so the index runs whenever t + 1 fields fit in the read, and
-    the scan, where it runs, keeps its word prefix."""
-    pairs = decoder._indexed_pairs
-    return mock.patch.object(decoder, "_indexed_pairs",
-                             lambda rows, t, length, prefix: pairs(rows, t, length, math.inf))
+    """Prices each field collision at zero scan words, so the index runs
+    whenever t + 1 fields fit in the read, and the scan, where it runs,
+    keeps its word prefix."""
+    return mock.patch.object(decoder, "_COLLISION_COST", (0, 0, 0))
+
+
+def forced_scan():
+    """Prices the pigeonhole index at infinity, so every greedy_cluster call
+    takes the scan without sorting a field."""
+    return mock.patch.object(decoder, "_index_work", lambda *args: (math.inf, None))
 
 
 def assert_same(output, rho):
@@ -171,20 +179,29 @@ def test_matches_reference_scan(c, p, rho_frac, M, seed):
 
 
 @pytest.mark.parametrize(
-    "point",
-    [dict(c=2, p=0.1, rho=0.30), dict(c=3, p=0.0, rho=0.05)],
-    ids=["noisy", "clean"],
+    "point, took",
+    [
+        # The clean point (t = 12 of 240 bits) takes the index. The noisy one
+        # (t = 72) takes the scan without sorting a field.
+        (dict(c=2, p=0.1, rho=0.30), {"index": [False], "fields": 0}),
+        (dict(c=3, p=0.0, rho=0.05), {"index": [True], "fields": 1}),
+        # Near pairs collide in more fields than random reads: the counted
+        # collisions price the index above the scan, which is faster there
+        # at c = 3 and 4 and within 1.2x at c = 2.
+        (dict(c=4, p=0.01, M=2048, rho=14.5 / 220), {"index": [False], "fields": 1}),
+        (dict(c=4, p=0.01, M=2048, rho=16.5 / 220), {"index": [False], "fields": 1}),
+        (dict(c=3, p=0.01, rho=16.5 / 240), {"index": [False], "fields": 1}),
+        (dict(c=2, p=0.01, rho=16.5 / 240), {"index": [False], "fields": 1}),
+    ],
+    ids=["noisy", "clean", "c4-t14", "c4-t16", "c3-t16", "c2-t16"],
 )
-def test_matches_reference_at_bench_points(point):
+def test_matches_reference_at_bench_points(point, took):
     params = ChannelParams(point["c"], 0.05, point["p"])
-    dims = InstanceDims.from_channel(params, 4096)
+    dims = InstanceDims.from_channel(params, point.get("M", 4096))
     out = simulate_channel(random_pool(dims, 7), params, 8)
     with sources() as seen:
         assert_same(out, point["rho"])
-    # The clean point (t = 12 of 240 bits) takes the index. The noisy one
-    # (t = 72) takes the scan without sorting a field.
-    assert seen == ({"index": [True], "fields": 1} if point["p"] == 0
-                    else {"index": [False], "fields": 0})
+    assert seen == took
 
 
 @pytest.mark.parametrize(
@@ -436,9 +453,9 @@ class TestPigeonholeIndex:
 
     def test_colliding_fields_take_the_scan_in_its_memory(self):
         # Reads equal outside the first field: every pair collides in the
-        # other 12. The collision count passes the guard in the second field
-        # sorted, before any pair is built, and the scan runs. Its 64-row
-        # buffers (about 1.4 MB here) bound the peak.
+        # other 12. The counted collisions price the index above the scan in
+        # the second field sorted, before any pair is built, and the scan
+        # runs. Its 64-row buffers (about 1.4 MB here) bound the peak.
         rng = np.random.default_rng(12)
         reads = np.tile(self.reads()[0], (2000, 1))
         for bit in field_bits(self.fields()[0]):
@@ -449,7 +466,7 @@ class TestPigeonholeIndex:
             peak, clusters = traced_peak(greedy_cluster, out, config)
         assert seen == {"index": [False], "fields": 1}
         assert list(clusters) == reference_greedy_cluster(out, config)
-        with mock.patch.object(decoder, "_indexed_pairs", lambda *args: None):
+        with forced_scan():
             scan_peak, _ = traced_peak(greedy_cluster, out, config)
         assert peak <= scan_peak + 64 * 1024
 
@@ -494,7 +511,7 @@ def finishes():
             seen["dense"].append(words)
         return sum_words(mat, words, *args)
 
-    with mock.patch.object(decoder, "_indexed_pairs", lambda *args: None), \
+    with forced_scan(), \
             mock.patch.object(decoder, "_finished", spy_finished), \
             mock.patch.object(decoder, "_sum_words", spy_sum_words):
         yield seen

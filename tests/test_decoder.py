@@ -458,10 +458,52 @@ class TestRunPipeline:
         with pytest.raises(ValueError):
             run_pipeline(PARAMS, scheme, 256, 1, seed=0)
 
-    def test_budget_guard_suggests_smaller(self):
+    def test_budget_guard_names_the_source_its_work_and_the_budget(self, monkeypatch):
+        # M = 256: 512 distinct reads of L = 160 bits (three words) at
+        # t = 40, where the scan sums two words for each of their pairs.
+        monkeypatch.setattr(decoder_module, "DEFAULT_DISTANCE_BUDGET", 1000)
         scheme = SchemeParams(K=2, r_ix=0.5304, r_in=0.4, r_out=0.8)
-        with pytest.raises(BudgetError, match="try M"):
-            run_pipeline(PARAMS, scheme, 2**16, 1, seed=0, budget=1e9)
+        msg = ("clustering 512 distinct reads by the scan takes 261,632 scan words, "
+               "over the budget of 1,000")
+        with pytest.raises(BudgetError, match=re.escape(msg)):
+            run_pipeline(PARAMS, scheme, 256, 1, seed=0)
+
+    def test_index_work_is_charged_before_any_pair_is_built(self, monkeypatch):
+        # The clean point at M = 4096 (t = 12 of 240 bits): its field
+        # collisions, at 320 scan words each, cost far less than the scan,
+        # so the index is charged, and refused before it lists a pair.
+        dims = InstanceDims.from_channel(PARAMS0, 4096)
+        out = simulate_channel(random_pool(dims, 7), PARAMS0, 8)
+        monkeypatch.setattr(decoder_module, "DEFAULT_DISTANCE_BUDGET", 1000)
+        monkeypatch.setattr(decoder_module, "_indexed_pairs", mock.Mock(side_effect=AssertionError))
+        with pytest.raises(BudgetError, match=r"distinct reads by the index takes [\d,]+ scan words"):
+            greedy_cluster(out, ClusteringConfig(rho=0.05))
+
+    def test_noisy_refusal_comes_before_any_scan_buffer(self, monkeypatch):
+        # M = 2^17 at the noisy point: 262,144 distinct reads of 340 bits
+        # (six words) at t = 102, where the scan would sum four words a pair,
+        # 1.4e11 in all. Its XOR buffer alone, 8 bytes per read for each of
+        # 64 seeds, would take 134 MB; the refusal comes after the
+        # distinct-read pass (59 MB traced), before any such buffer.
+        dims = InstanceDims.from_channel(PARAMS, 2**17)
+        out = simulate_channel(random_pool(dims, 1), PARAMS, 2)
+        monkeypatch.setattr(decoder_module, "_scanned_seeds", mock.Mock(side_effect=AssertionError))
+        tracemalloc.start()
+        try:
+            with pytest.raises(BudgetError, match="262,144 distinct reads by the scan takes "
+                                                  "137,438,429,184 scan words"):
+                greedy_cluster(out, ClusteringConfig(rho=0.3))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < decoder_module._SEED_BLOCK * out.N * 8
+
+    def test_clean_point_at_16384_strands_runs(self):
+        # 49,152 reads of L = 280 bits, once refused as 6.8e11 bit pairs of an
+        # all-pairs scan. The index clusters their 15,573 distinct reads from
+        # 4,670 field collisions: 2.5e6 scan words, against 1.2e8 to scan.
+        (rep,) = run_pipeline(PARAMS0, SCHEME0, 16384, 1, seed=0).reports
+        assert rep.m_wrong_clusters == rep.m_wrong_index == 0 and rep.outer_success
 
     def test_invalid_scheme_warns_but_runs(self):
         bad = SchemeParams(K=2, r_ix=0.06, r_in=0.4, r_out=0.8)
