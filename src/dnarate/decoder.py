@@ -16,8 +16,8 @@ import numpy as np
 
 from .channel import InstanceDims, random_pool, simulate_channel
 from .multidraw import (_check_block_size, _check_count, _check_draw_vector, _check_unit,
-                        _clip_draws, gated_capacity_table)
-from .rates import _type_means, validate_scheme
+                        gated_capacity_table)
+from .rates import _draw_means, validate_scheme
 from .seeding import _check_threads, _map_chunks, derive_seed
 
 __all__ = [
@@ -645,9 +645,7 @@ def oracle_inner_decode(draws, params, scheme, m_wrong_clusters=0, m_wrong_index
     draws = _check_draw_vector(draws, "draws")
     K = _check_block_size(scheme.K, draws.size)
     blocks = draws.size // K
-    draws, top = _clip_draws(draws, params.p)
-    gtab = gated_capacity_table(params.p, top, scheme.r_ix)
-    decoded = _type_means(gtab, draws.reshape(blocks, K), K) > scheme.r_in
+    decoded = _draw_means(draws.reshape(blocks, K), params.p, scheme.r_ix) > scheme.r_in
     n_erased = int(blocks - decoded.sum())
     corrupt = 2 * (int(m_wrong_clusters) + int(m_wrong_index))
     m_wrong_inner = 0

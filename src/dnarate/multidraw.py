@@ -257,20 +257,11 @@ def _saturation(p):
     return _bhattacharyya_depth(p, 2.0**-54)
 
 
-# OpenBLAS splits a 1-D dot of more than this many entries over its own
-# threads, so the summation order, and with it the bits, would follow
-# OPENBLAS_NUM_THREADS.
-_DOT_SLICE = 10_000
-
-
 def _mixture(pmf, values):
-    """pmf . values as in-order np.dot slices of at most _DOT_SLICE entries,
-    each summed on the calling thread: the same bits for any OpenBLAS thread
-    count. Up to _DOT_SLICE entries it is np.dot itself."""
-    total = 0.0
-    for i in range(0, pmf.size, _DOT_SLICE):
-        total += float(np.dot(pmf[i:i + _DOT_SLICE], values[i:i + _DOT_SLICE]))
-    return total
+    """pmf . values as numpy's pairwise sum of the products, on the calling
+    thread and with no BLAS call: its order, and so its bits, depend only on
+    the length."""
+    return float((pmf * values).sum())
 
 
 @lru_cache(maxsize=None)
@@ -282,16 +273,9 @@ def _capacity_cached(d, p):
         return 0.0
     if p == 0.0:
         return 1.0
-    i = np.arange(d + 1)
     b = _binom_pmf(d, p)
-    loss = _mixture(b, np.logaddexp(0.0, (d - 2 * i) * math.log(p / (1.0 - p))))
+    loss = _mixture(b, np.logaddexp(0.0, np.arange(d, -d - 1, -2) * math.log(p / (1.0 - p))))
     return min(max(1.0 - loss / math.log(2.0), 0.0), 1.0)
-
-
-def _clip_draws(d, p):
-    """Draw counts d clipped at S(p), past which every level is 1.0, and their maximum."""
-    top = min(int(d.max()), _saturation(p))
-    return np.minimum(d, top), top
 
 
 def multi_draw_capacity(d, p):

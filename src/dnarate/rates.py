@@ -27,7 +27,6 @@ from .multidraw import (  # noqa: F401
     _check_index_overhead,
     _check_reading_rate,
     _check_unit,
-    _clip_draws,
     _gate,
     _log_poisson_pmf,
     _mixture,
@@ -265,9 +264,8 @@ def block_capacity(d, p, r_ix):
     with draw counts d; summed on _block_grid, the mean is the same bits in
     every order, in the estimators and in the decoder.
     """
-    d, top = _clip_draws(_check_draw_vector(d), check_crossover(p))
-    gtab = gated_capacity_table(p, top, r_ix)
-    return float(_type_means(gtab, d[None], d.size)[0])
+    d = _check_draw_vector(d)
+    return float(_draw_means(d[None], check_crossover(p), r_ix)[0])
 
 
 def mean_gated_capacity(params, r_ix, tail_eps=1e-12):
@@ -404,6 +402,15 @@ def _type_means(gtab, types, K):
     return means
 
 
+def _draw_means(rows, p, r_ix):
+    """_type_means of rows of observed draw counts, K per row, each count
+    clipped at S(p), past which every level is 1.0, so that the gated table
+    runs only up to the top clipped count."""
+    top = min(int(rows.max()), _saturation(p))
+    gtab = gated_capacity_table(p, top, r_ix)
+    return _type_means(gtab, np.minimum(rows, top), rows.shape[1])
+
+
 @lru_cache(maxsize=32)
 def _alias_table(masses):
     """Walker's alias table (ACM TOMS 1977) of the law Generator.multinomial
@@ -514,13 +521,12 @@ def _type_batches(seed, chunk_index, n, K, pmf):
 
 def _block_values(seed, chunk_index, n, K, pmf, gtab):
     """Gated block capacities of one chunk's n sampled blocks, in the row
-    batches of _drawn_batches, with no histogram of alias rows: the K drawn
-    slots gather _block_grid and the row sums them. Every K-term sum on that
-    grid is exact, so a row's value is the bits _hist_means gives its
+    batches of _drawn_batches, with no histogram of alias rows: a row's K
+    slots index gtab[cells], and _type_means sums them. Every K-term sum on
+    _block_grid is exact, so a row's value is the bits _hist_means gives its
     histogram."""
-    grid = _block_grid(gtab, K)
     for cells, batch in _drawn_batches(seed, chunk_index, n, K, pmf):
-        yield _hist_means(batch, gtab, K) if cells is None else grid[cells][batch].sum(axis=1) / K
+        yield _hist_means(batch, gtab, K) if cells is None else _type_means(gtab[cells], batch, K)
 
 
 def _hist_means(h, gtab, K):

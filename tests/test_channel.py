@@ -55,6 +55,11 @@ class TestInstanceDims:
         with pytest.raises(ValueError, match=message):
             InstanceDims.from_channel(PARAMS, 64, K)
 
+    @pytest.mark.parametrize("M, L, N", [(0, 1, 1), (1, 0, 1), (1, 1, -1)])
+    def test_rejects_empty_pool_or_strands_and_negative_reads(self, M, L, N):
+        with pytest.raises(ValueError, match="invalid dimensions"):
+            InstanceDims(M, L, N)
+
     def test_one_tiling_message(self):
         # the library's four tiling checks share one message
         message = re.escape("K (3) must divide the number of strands M (64)")
@@ -352,11 +357,16 @@ class TestReplayDump:
         out = simulate_channel(random_pool(dims, 51), PARAMS, 52)
         path = tmp_path / "chan.bin"
         dump_channel(out, path)
-        raw = bytearray(path.read_bytes())
-        (tmp_path / "truncated.bin").write_bytes(raw[:-4])
-        with pytest.raises(ValueError):
-            load_channel(tmp_path / "truncated.bin")
-        raw[0] = ord("X")
-        (tmp_path / "badmagic.bin").write_bytes(raw)
-        with pytest.raises(ValueError):
-            load_channel(tmp_path / "badmagic.bin")
+        raw = path.read_bytes()
+        at = 30 + out.reads.size  # the first origin, after the header and the reads
+        cases = {
+            r"has \d+ bytes, expected": raw[:-4],
+            "truncated channel dump": raw[:29],
+            "bad magic": b"X" + raw[1:],
+            "unsupported channel dump version 2": raw[:4] + (2).to_bytes(2, "little") + raw[6:],
+            "origin out of range": raw[:at] + (64).to_bytes(8, "little") + raw[at + 8:],
+        }
+        for match, corrupt in cases.items():
+            path.write_bytes(corrupt)
+            with pytest.raises(ValueError, match=match):
+                load_channel(path)

@@ -47,7 +47,11 @@ INVALID = {
     "rout 1.5": (["rate", *CH, *SCHEME, "--rout", "1.5"], 2),
     "simulate rout zero": (["simulate", *CH, *SCHEME, "--rout", "0", "--M", "256"], 2),
     "curve K sweep from 0": (["curve", "--sweep", "K", "--values", "0,1", *CH], 2),
+    "curve values not numbers": (["curve", "--sweep", "K", "--values", "a,b", *CH], 2),
+    "curve values empty": (["curve", "--sweep", "K", "--values", ",", *CH], 2),
     "optimize K zero": (["optimize", *CH, "--K", "0"], 2),
+    "optimize p one half, no positive rate": (
+        ["optimize", "--c", "1", "--beta", "0.05", "--p", "0.5", "--K", "1"], 2),
     "simulate zero trials": ([*SIM, "--trials", "0"], 2),
     "simulate M not a multiple of K": ([*SIM[:-1], "255"], 2),
     "simulate M zero": ([*SIM[:-1], "0"], 2),
@@ -510,6 +514,13 @@ class TestReplay:
             code, _, _ = run(capsys, bad)
         assert code == 0 and dump.exists()
 
+    def test_dump_into_a_missing_directory_exits_4(self, capsys, tmp_path):
+        dump = tmp_path / "no" / "dir" / "chan.bin"
+        code, out, err = run(capsys, [*SIM, "--trials", "1", "--dump", str(dump)])
+        assert code == 4
+        assert out == ""
+        assert "cannot write" in err
+
     def test_dump_needs_single_trial(self, capsys, tmp_path):
         code, _, err = run(
             capsys,
@@ -579,6 +590,15 @@ class TestReplay:
         )
         assert code == 4
 
+    def test_missing_dump_exits_4(self, capsys, tmp_path):
+        code, _, err = run(
+            capsys,
+            ["replay", "--in", str(tmp_path / "missing.bin"), "--p", "0.1", "--K", "2",
+             "--rix", "0.5304", "--rin", "0.4", "--rout", "0.8"],
+        )
+        assert code == 4
+        assert "cannot read" in err
+
 
 class TestConfig:
     def test_config_supplies_values(self, capsys, tmp_path):
@@ -594,6 +614,19 @@ class TestConfig:
         code, out, _ = run(capsys, ["capacity", "--config", str(cfg), "--c", "10"])
         assert code == 0
         assert out == "0.940040\n"
+
+    def test_unreadable_config_exits_4(self, capsys, tmp_path):
+        code, _, err = run(capsys, ["capacity", *CH, "--config", str(tmp_path / "missing.cfg")])
+        assert code == 4
+        assert "cannot read config" in err
+
+    def test_line_without_equals_rejected(self, capsys, tmp_path):
+        # the comment line and the blank line before it are skipped but counted
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("# a comment\n\nc 1\n")
+        code, _, err = run(capsys, ["capacity", *CH, "--config", str(cfg)])
+        assert code == 2
+        assert "run.cfg:3: expected 'key = value'" in err
 
     def test_unknown_key_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "run.cfg"
@@ -634,6 +667,13 @@ class TestConfig:
                                     "--samples", "1000"])
         assert code == 0
         assert "method = monte_carlo" in out
+
+    def test_threads_env_must_be_an_integer(self, capsys, monkeypatch):
+        monkeypatch.setenv("DNARATE_THREADS", "abc")
+        code, out, err = run(capsys, ["capacity", *CH])
+        assert code == 2
+        assert out == ""
+        assert "DNARATE_THREADS must be an integer, got 'abc'" in err
 
     def test_threads_env_default(self, capsys, monkeypatch, tmp_path):
         monkeypatch.setenv("DNARATE_THREADS", "2")

