@@ -12,6 +12,7 @@ the supremum over inner rates in closed form. Both searches try an index
 rate just below every distinct capacity level of their table.
 """
 
+import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -70,16 +71,16 @@ _TABLE_TAIL = 1e-16
 # multinomial rows only tables wider than 64 entries, c above 18, split a
 # chunk), or type-table cells built, weighed or gathered.
 _HIST_CELLS = 1 << 22
-# Uniforms an alias-table MC batch draws at most, for the estimator's block
-# values and the optimiser's histograms alike. At 2^16 (1.6 MB of
-# temporaries) a batch runs as fast as larger ones, and malloc keeps less of
-# the freed batches resident in the worker threads' arenas: at 2^18 the
-# analysis benchmark's peak RSS rose from 303 to 314-320 MB.
+# Strands an alias-table MC batch places at most, for the estimator's block
+# values and the optimiser's histograms alike; a draw places one to four. At
+# 2^16 one-strand draws (1.6 MB of temporaries) a batch runs as fast as
+# larger ones, and malloc keeps less of the freed batches resident in the
+# worker threads' arenas: at 2^18 the analysis benchmark's peak RSS rose from
+# 303 to 314-320 MB.
 _ALIAS_DRAWS = 1 << 16
-# Bytes each of those draws holds at once, at most: the uniform, its slot and
-# the slot's threshold (8 each), and the mask. Once the uniform is freed, the
-# slot and either the float64 block value gathered for it or its int64 cell
-# take 16.
+# Bytes each of those strands holds at once, at most: its draw's uniform,
+# slot and threshold (8 each) and mask. Once the uniform is freed, the slot
+# and either the float64 value gathered for it or its int64 cells take 16.
 _ALIAS_DRAW_BYTES = 25
 # Hard ceiling on exact enumeration, in type-table cells (types x stored columns).
 ENUM_CAP = 10**8
@@ -412,47 +413,100 @@ def _draw_means(rows, p, r_ix):
 
 
 @lru_cache(maxsize=32)
-def _alias_table(masses):
-    """Walker's alias table (ACM TOMS 1977) of the law Generator.multinomial
-    draws from the float64 pmf whose bytes are `masses`: each cell's mass,
-    but the last cell takes the leftover 1 - sum of the others.
+def _alias_table(masses, g=1, size=0):
+    """Walker's alias table (ACM TOMS 1977) of the g-strand type law: the
+    multisets of g draws from the law Generator.multinomial draws from the
+    float64 pmf whose bytes are `masses` (each cell's mass, but the last
+    cell takes the leftover 1 - sum of the others). Its C(W + g - 1, g)
+    types are the nondecreasing g-tuples of cells, each weighing
+    g! / prod(m_i!) times the product of its masses, m_i the repeats of
+    each cell, as _exact_support weighs a block's types. Entries past them,
+    up to `size`, weigh 0 and hold the cell W, which no draw takes.
 
-    Returned as (top, cells): a uniform x in [0, W) lands in j = floor(x)
-    and takes cell cells[2j] = j when x < top[j], else cells[2j + 1], j's
-    alias. Vose's O(W) construction (IEEE TSE 1991), memoised per sampling
-    table; the cache is bounded like _poisson_table's."""
+    Returned as (top, cells): a uniform x in [0, N), N the entry count,
+    lands in j = floor(x) and takes slot 2j when x < top[j], else slot
+    2j + 1, j's alias; cells[:, slot] holds the g cells of the slot's
+    entry, so that each of the g rows is gathered at the slots in one pass.
+    Vose's O(N) construction (IEEE TSE 1991), memoised per sampling table,
+    g and size; the cache is bounded like _poisson_table's."""
     q = np.frombuffer(masses).copy()
     q[-1] = max(0.0, 1.0 - math.fsum(q[:-1]))
-    W = q.size
-    scaled = (q * W).tolist()
-    keep, alias = [1.0] * W, list(range(W))
-    small = [j for j in range(W) if scaled[j] < 1.0]
-    large = [j for j in range(W) if scaled[j] >= 1.0]
+    types = np.array(list(itertools.combinations_with_replacement(range(q.size), g)))
+    coef = np.ones(len(types), dtype=np.int64)  # g! / prod(m_i!), one column at a time
+    run = np.ones(len(types), dtype=np.int64)  # the run of equal cells ending at the column
+    mass = q[types[:, 0]]
+    for i in range(1, g):
+        run = np.where(types[:, i] == types[:, i - 1], run + 1, 1)
+        coef = coef * (i + 1) // run
+        mass = mass * q[types[:, i]]
+    N = max(size, len(types))
+    scaled = (mass * coef * N).tolist() + [0.0] * (N - len(types))
+    keep, alias = [1.0] * N, list(range(N))
+    small = [j for j in range(N) if scaled[j] < 1.0]  # the empty entries last, so paired first
+    large = [j for j in range(N) if scaled[j] >= 1.0]
     while small and large:
         lo, hi = small.pop(), large.pop()
         keep[lo], alias[lo] = scaled[lo], hi
         scaled[hi] = (scaled[hi] + scaled[lo]) - 1.0
         (small if scaled[hi] < 1.0 else large).append(hi)
-    top = np.arange(W) + np.array(keep)
-    cells = np.stack([np.arange(W), np.array(alias)], axis=1).ravel()
+    top = np.arange(N) + np.array(keep)
+    types = np.pad(types, ((0, N - len(types)), (0, 0)), constant_values=q.size)
+    slots = np.stack([np.arange(N), np.array(alias)], axis=1).ravel()
+    cells = np.ascontiguousarray(types[slots].T)
     top.flags.writeable = cells.flags.writeable = False
     return top, cells
 
 
-def _alias_slots(rng, top, K, rows):
-    """(rows, K) slots of K alias-table draws each: one uniform per draw, read
-    in row order, so consecutive calls continue one stream. Slot 2j is cell j
-    and slot 2j + 1 its alias, so cells[slot] is the drawn cell, and a
-    per-cell table gathered at cells is read at the slots in one gather.
-    `top` holds the thresholds of _alias_table."""
-    W = top.size
-    x = rng.random((rows, K))
-    x *= W
+# Strands one alias-table draw places at most, and types its table may hold:
+# the table's thresholds and cells stay in the fast caches.
+_GROUP_MAX = 4
+_GROUP_ENTRIES = 4096
+
+
+def _group_size(K, W):
+    """Strands g one alias-table draw places in a block of K draws from a
+    table of width W. Of g = 1 and the g <= min(K, _GROUP_MAX) whose type
+    table, C(W + g - 1, g) entries, holds at most _GROUP_ENTRIES, the
+    smallest that draws the block in the fewest draws, ceil(K / g): it has
+    the smallest tables. At K = 100, g = 3 at c = 2 (W = 23, 2,300
+    entries) and 2 at c = 10 (W = 47, 1,128 entries); past c = 33
+    (W = 91), 1."""
+    fits = [1] + [g for g in range(2, min(K, _GROUP_MAX) + 1)
+                  if math.comb(W + g - 1, g) <= _GROUP_ENTRIES]
+    return min(fits, key=lambda g: -(-K // g))
+
+
+@lru_cache(maxsize=32)
+def _row_table(masses, g, r):
+    """(top, cells) of the alias tables a row reads: the g-strand table of
+    _alias_table, N entries, and after it, when r > 0, the r-strand table on
+    N entries too, its cells padded with the cell W. Memoised."""
+    top, cells = _alias_table(masses, g)
+    if r:
+        rest_top, rest_cells = _alias_table(masses, r, top.size)
+        W = len(masses) // 8
+        top = np.concatenate([top, rest_top])
+        rest_cells = np.pad(rest_cells, ((0, g - r), (0, 0)), constant_values=W)
+        cells = np.concatenate([cells, rest_cells], axis=1)
+        top.flags.writeable = cells.flags.writeable = False
+    return top, cells
+
+
+def _alias_slots(rng, top, N, G, cols, rows):
+    """(rows, cols) alias slots, one uniform per column, read in row order,
+    so consecutive calls continue one stream. Every column draws an entry
+    of an N-entry table from `top`: the first G from the first table, the
+    others from the one after it. A draw of entry j of the two takes slot
+    2j or 2j + 1, j's alias, so a per-slot table is read at the slots in one
+    gather, with no branch per draw."""
+    x = rng.random((rows, cols))
+    x *= N
     slots = x.astype(np.intp)
+    slots[:, G:] += N
     moves = x >= top[slots]
     del x
     slots <<= 1
-    slots += moves  # one gather picks j or its alias, with no branch per draw
+    slots += moves
     return slots
 
 
@@ -460,73 +514,94 @@ def _alias_rows(K, pmf):
     """Whether the estimator draws blocks of K draws from pmf faster as
     alias-table rows than as multinomial rows.
 
-    An alias row costs its K draws. A multinomial row draws one binomial for
-    each cell it visits, 1 + sum over d < W - 1 of (1 - F(d)^K) of them, F
-    the table's CDF. Where K times a cell's mass passes 30, numpy draws that
-    binomial by BTPE, at an extra set-up; elsewhere by inversion, one step
-    per draw it places. In units of one alias draw, the costs fitted on the
-    estimator's time per chunk (c from 0.5 to 100, K up to 2000, in
-    BENCH_26.json) are 4.6 a visited cell, 1.3 an inversion step and 10 a
-    BTPE cell, and 4 more for a multinomial row.
+    An alias row costs its ceil(K / g) draws, g = _group_size(K, W). A
+    multinomial row draws one binomial for each cell it visits, 1 + sum
+    over d < W - 1 of (1 - F(d)^K) of them, F the table's CDF. Cell d's
+    binomial places about m_d = K min(pmf[d], 1 - F(d)) draws on the
+    smaller of its two sides, the one numpy draws: by BTPE, at an extra
+    set-up, where m_d passes 30, and by inversion, one step per draw,
+    elsewhere. In units of one alias draw, the costs fitted on the
+    estimator's time per chunk (c from 0.5 to 64, K up to 1000, in
+    BENCH_29.json) are 4 a visited cell, 1.3 an inversion step and 14 a
+    BTPE cell.
     """
     F = np.cumsum(pmf[:-1])
     visited = 1.0 + float(np.sum(1.0 - F**K))
-    btpe = K * pmf > 30.0
-    steps = K * float(pmf[~btpe].sum())
-    return K < 4.0 + 4.6 * visited + 1.3 * steps + 10.0 * int(btpe.sum())
+    m = K * np.minimum(pmf[:-1], 1.0 - F)
+    btpe = m > 30.0
+    cost = 4.0 * visited + 1.3 * float(m[~btpe].sum()) + 14.0 * int(btpe.sum())
+    return -(-K // _group_size(K, pmf.size)) < cost
 
 
 def _drawn_batches(seed, chunk_index, n, K, pmf):
-    """One chunk's n sampled blocks, in row batches, as (cells, batch).
+    """One chunk's n sampled blocks, as (cells, batches), batches an
+    iterator over row batches.
 
     Every row is K i.i.d. draws from the tabulated Poisson law of width W,
     the leftover mass in the last cell, as multinomial(K, pmf) draws them.
-    _alias_rows picks the sampler for the whole chunk. An alias batch is the
-    (rows, K) slots of _alias_slots, with the table's cells; a multinomial
-    batch is the (rows, W) int64 histograms of Generator.multinomial, bit
-    for bit those of earlier versions, with cells None.
+    _alias_rows picks the sampler for the whole chunk. An alias row is
+    K // g draws from the g-strand table of _row_table, g =
+    _group_size(K, W), and with K % g = r > 0 one draw from its r-strand
+    table: a batch is the slots of _alias_slots, and cells is the table's.
+    A multinomial batch is the (rows, W) int64 histograms of
+    Generator.multinomial, bit for bit those of earlier versions, and
+    cells is None.
 
     A multinomial batch holds at most _HIST_CELLS cells; an alias batch
-    draws at most _ALIAS_DRAWS uniforms, and so few that their temporaries,
-    _ALIAS_DRAW_BYTES each, take no more memory than the multinomial batch's
-    int64 cells. Batching leaves the chunk's variate stream unchanged.
+    places at most _ALIAS_DRAWS strands, and so few that their temporaries,
+    _ALIAS_DRAW_BYTES a strand, take no more memory than the multinomial
+    batch's int64 cells. Batching leaves the chunk's variate stream
+    unchanged.
     """
     rng = substream(seed, "outer-rate-mc", chunk_index)
     W = pmf.size
     rows = min(n, max(1, _HIST_CELLS // W))
     if not _alias_rows(K, pmf):
-        for start in range(0, n, rows):
-            yield None, rng.multinomial(K, pmf, size=min(rows, n - start))
-        return
-    top, cells = _alias_table(pmf.tobytes())
+        return None, (rng.multinomial(K, pmf, size=min(rows, n - s)) for s in range(0, n, rows))
+    g = _group_size(K, W)
+    G, r = divmod(K, g)
+    top, cells = _row_table(pmf.tobytes(), g, r)
+    N, cols = math.comb(W + g - 1, g), G + (r > 0)
     draws = min(_ALIAS_DRAWS, rows * W * 8 // _ALIAS_DRAW_BYTES)
     rows = max(1, min(rows, draws // K))
-    for start in range(0, n, rows):
-        yield cells, _alias_slots(rng, top, K, min(rows, n - start))
+    return cells, (
+        _alias_slots(rng, top, N, G, cols, min(rows, n - s)) for s in range(0, n, rows)
+    )
 
 
 def _type_batches(seed, chunk_index, n, K, pmf):
     """Draw-count histograms of one chunk's n sampled blocks, in the row
     batches of _drawn_batches: row j counts how many of block j's K draws
-    take each value of the table. Alias slots are counted with bincount."""
+    take each value of the table. The cells of alias slots are counted with
+    bincount, the padding in a column W that is dropped."""
     W = pmf.size
-    for cells, batch in _drawn_batches(seed, chunk_index, n, K, pmf):
-        if cells is not None:
-            rows = len(batch)
-            batch = cells[batch]
-            batch += np.arange(0, rows * W, W)[:, None]  # row r counts into r*W + cell
-            batch = np.bincount(batch.ravel(), minlength=rows * W).reshape(rows, W)
-        yield batch
+    cells, batches = _drawn_batches(seed, chunk_index, n, K, pmf)
+    if cells is None:
+        return batches
+    return (_slot_histograms(cells, slots, W) for slots in batches)
+
+
+def _slot_histograms(cells, slots, W):
+    """(rows, W) histograms of the cells of each row of alias slots."""
+    rows = len(slots)
+    counted = np.take(cells, slots, axis=1)
+    counted += np.arange(0, rows * (W + 1), W + 1)[:, None]  # row r counts from r(W + 1)
+    return np.bincount(counted.ravel(), minlength=rows * (W + 1)).reshape(rows, W + 1)[:, :W]
 
 
 def _block_values(seed, chunk_index, n, K, pmf, gtab):
     """Gated block capacities of one chunk's n sampled blocks, in the row
-    batches of _drawn_batches, with no histogram of alias rows: a row's K
-    slots index gtab[cells], and _type_means sums them. Every K-term sum on
-    _block_grid is exact, so a row's value is the bits _hist_means gives its
-    histogram."""
-    for cells, batch in _drawn_batches(seed, chunk_index, n, K, pmf):
-        yield _hist_means(batch, gtab, K) if cells is None else _type_means(gtab[cells], batch, K)
+    batches of _drawn_batches, with no histogram of alias rows: a slot's
+    value is the sum of its cells' _block_grid values, made once per chunk,
+    and a row's is the sum of its slots' values over K. Every sum of at most
+    K values on the grid is exact, so a row's value is the bits _hist_means
+    gives its histogram."""
+    cells, batches = _drawn_batches(seed, chunk_index, n, K, pmf)
+    if cells is None:
+        return (_hist_means(h, gtab, K) for h in batches)
+    values = np.append(_block_grid(gtab, K), 0.0)[cells].sum(axis=0)  # the padding adds 0
+    # einsum sums short rows several times faster than sum(axis=1)
+    return (np.einsum("ij->i", values[slots]) / K for slots in batches)
 
 
 def _hist_means(h, gtab, K):

@@ -305,8 +305,8 @@ class TestOptimize:
         code, out, _ = run(capsys, ["optimize", "--c", "10", "--beta", "0.05", "--p", "0.1",
                                     "--K", "100"])
         assert code == 0
-        assert out == ("d_candidate = 3\nR_ix = 0.861555\nR_in = 0.967625\n"
-                       "R_out = 0.997700\nR = 0.909373\nstderr = 0.000479\n"
+        assert out == ("d_candidate = 3\nR_ix = 0.861555\nR_in = 0.967749\n"
+                       "R_out = 0.997100\nR = 0.908942\nstderr = 0.000538\n"
                        "method = monte_carlo\n")
 
     def test_json_record(self, capsys):
@@ -773,23 +773,23 @@ GOLDEN = {
     ),
     "rate mc": (
         (
-            "R_out = 0.971400\n"
-            "R = 0.395922\n"
-            "stderr = 0.002357\n"
+            "R_out = 0.968200\n"
+            "R = 0.394618\n"
+            "stderr = 0.002481\n"
             "method = monte_carlo\n"
             "truncation_mass = 0.000000\n"
         ),
         (
             "R_ix,R_in,R_out,R,stderr,method,truncation_mass\n"
-            "0.5304,0.45,0.9714,0.39592242081447965,0.002357203427793196,monte_carlo,0.0\n"
+            "0.5304,0.45,0.9682,0.39461816742081446,0.0024814818153675857,monte_carlo,0.0\n"
         ),
         (
             "{\n"
             '  "r_ix": 0.5304,\n'
             '  "r_in": 0.45,\n'
-            '  "r_out": 0.9714,\n'
-            '  "r": 0.39592242081447965,\n'
-            '  "stderr": 0.002357203427793196,\n'
+            '  "r_out": 0.9682,\n'
+            '  "r": 0.39461816742081446,\n'
+            '  "stderr": 0.0024814818153675857,\n'
             '  "method": "monte_carlo",\n'
             '  "samples": 5000,\n'
             '  "truncation_mass": 0.0\n'
@@ -828,25 +828,25 @@ GOLDEN = {
         (
             "d_candidate = 1\n"
             "R_ix = 0.530473\n"
-            "R_in = 0.509236\n"
-            "R_out = 0.901000\n"
-            "R = 0.415575\n"
-            "stderr = 0.006678\n"
+            "R_in = 0.530180\n"
+            "R_out = 0.883000\n"
+            "R = 0.424023\n"
+            "stderr = 0.007187\n"
             "method = monte_carlo\n"
         ),
         (
             "K,d_candidate,R_ix,R_in,R_out,R,stderr,method\n"
-            "10,1,0.5304734020043081,0.5092361059841735,0.901,0.41557529069394006,0.006678285708173917,monte_carlo\n"
+            "10,1,0.5304734020043081,0.5301796151902988,0.883,0.4240230513689061,0.007187176079657434,monte_carlo\n"
         ),
         (
             "{\n"
             '  "K": 10,\n'
             '  "d_candidate": 1,\n'
             '  "r_ix": 0.5304734020043081,\n'
-            '  "r_in": 0.5092361059841735,\n'
-            '  "r_out": 0.901,\n'
-            '  "r": 0.41557529069394006,\n'
-            '  "stderr": 0.006678285708173917,\n'
+            '  "r_in": 0.5301796151902988,\n'
+            '  "r_out": 0.883,\n'
+            '  "r": 0.4240230513689061,\n'
+            '  "stderr": 0.007187176079657434,\n'
             '  "method": "monte_carlo",\n'
             '  "samples": 2000\n'
             "}\n"

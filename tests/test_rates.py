@@ -5,6 +5,7 @@ import re
 import time
 import tracemalloc
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -448,8 +449,9 @@ class TestMonteCarloOuterRate:
             achievable_outer_rate_mc(params_for(1), scheme, samples)
 
 
-# (c, the largest K the cost rule draws as alias-table rows)
-CROSSOVERS = [(0.5, 63), (2, 145), (10, 333)]
+# (c, the largest K up to which the cost rule draws every block size as
+# alias-table rows, the largest K it draws as alias-table rows)
+CROSSOVERS = [(0.5, 280, 284), (2, 375, 375), (10, 702, 704)]
 
 
 class TestTypeSampler:
@@ -463,24 +465,29 @@ class TestTypeSampler:
         assert np.all(np.abs(h.mean(axis=0) - K * pmf) <= 5 * se)
 
     def test_batches_keep_the_chunk_stream(self):
-        # c = 50 tables are wide enough that one chunk is drawn in batches by
-        # either sampler: alias-table rows at K = 5, and multinomial rows at
-        # K = 5000, past the cost rule's crossover
+        # one chunk drawn in batches gives the rows one call draws: at c = 50
+        # one-strand rows, elsewhere rows of g strands a draw, with one draw
+        # from the (K % g)-strand table after them but at K = 100 at c = 2;
+        # and multinomial rows at c = 50, K = 5000, past the crossover
         n = 65_536
-        pmf = rates._sampling_masses(50.0)
-        table = rates._alias_table(pmf.tobytes())
-        for K, alias in ((5, True), (5000, False)):
-            assert rates._alias_rows(K, pmf) == alias
-            batches = list(rates._drawn_batches(4, 2, n, K, pmf))
+        for c, K, g in ((50, 5, 1), (2, 99, 3), (2, 100, 3), (10, 101, 2), (0.5, 31, 4)):
+            pmf = rates._sampling_masses(float(c))
+            assert rates._alias_rows(K, pmf) and rates._group_size(K, pmf.size) == g
+            cells, batches = rates._drawn_batches(4, 2, n, K, pmf)
+            batches = list(batches)
             assert len(batches) > 1
-            rng = rates.substream(4, "outer-rate-mc", 2)
-            if alias:
-                whole = rates._alias_slots(rng, table[0], K, n)
-                hist = slot_histograms(whole, table[1], pmf.size)
-            else:
-                whole = hist = rng.multinomial(K, pmf, size=n)
-            assert np.array_equal(np.vstack([batch for _, batch in batches]), whole)
+            whole, table_cells = reference_slots(4, 2, n, K, pmf, g)
+            assert np.array_equal(cells, table_cells)
+            assert np.array_equal(np.vstack(batches), whole)
+            hist = slot_histograms(whole, table_cells, pmf.size)
             assert np.array_equal(np.vstack(list(rates._type_batches(4, 2, n, K, pmf))), hist)
+        pmf = rates._sampling_masses(50.0)
+        assert not rates._alias_rows(5000, pmf)
+        cells, batches = rates._drawn_batches(4, 2, n, 5000, pmf)
+        batches = list(batches)
+        assert cells is None and len(batches) > 1
+        whole = rates.substream(4, "outer-rate-mc", 2).multinomial(5000, pmf, size=n)
+        assert np.array_equal(np.vstack(batches), whole)
 
     @pytest.mark.parametrize("c", [0.5, 2, 10, 50, 10**4])
     def test_alias_table_holds_the_multinomial_law(self, c):
@@ -489,11 +496,59 @@ class TestTypeSampler:
         pmf = rates._sampling_masses(float(c))
         top, cells = rates._alias_table(pmf.tobytes())
         W = pmf.size
-        keep, alias = top - np.arange(W), cells[1::2]
-        assert np.array_equal(cells[::2], np.arange(W))
+        assert top.shape == (W,) and cells.shape == (1, 2 * W)
+        keep, alias = top - np.arange(W), cells[0, 1::2]
+        assert np.array_equal(cells[0, ::2], np.arange(W))
         assert np.all((0 <= keep) & (keep <= 1)) and np.all((0 <= alias) & (alias < W))
         mass = (keep + np.bincount(alias, 1.0 - keep, minlength=W)) / W
         assert np.abs(mass - law_of(pmf)).max() <= 1e-15
+
+    @pytest.mark.parametrize(
+        "c, g, size", [(0.5, 4, 0), (1, 3, 0), (2, 2, 0), (2, 3, 0), (10, 2, 0), (30, 2, 0),
+                       (2, 1, 2300), (2, 2, 2300), (0.5, 3, 3060)]
+    )
+    def test_group_table_holds_the_g_strand_law(self, c, g, size):
+        # entry j, at slot 2j, is the j-th nondecreasing g-tuple of cells; its
+        # mass, kept share plus the shares aliased to it, is the math.fsum of
+        # the products of the masses over every ordering of the tuple. Past
+        # the tuples, up to `size`, entries hold the cell W and no mass
+        pmf = rates._sampling_masses(float(c))
+        W, q = pmf.size, law_of(pmf).tolist()
+        top, cells = rates._alias_table(pmf.tobytes(), g, size)
+        n_types = math.comb(W + g - 1, g)
+        N = max(n_types, size)
+        assert n_types <= rates._GROUP_ENTRIES
+        assert top.shape == (N,) and cells.shape == (g, 2 * N)
+        types = [tuple(t) for t in cells[:, ::2].T.tolist()]
+        assert types[:n_types] == list(itertools.combinations_with_replacement(range(W), g))
+        assert types[n_types:] == [(W,) * g] * (N - n_types)
+        want = np.zeros(N)
+        want[:n_types] = [
+            math.fsum(math.prod(q[d] for d in order) for order in set(itertools.permutations(t)))
+            for t in types[:n_types]
+        ]
+        assert math.fsum(want) == pytest.approx(1.0, abs=1e-14)
+        entry = {t: j for j, t in enumerate(types)}
+        alias = np.array([entry[tuple(t)] for t in cells[:, 1::2].T.tolist()])
+        assert np.all(alias < n_types)
+        keep = top - np.arange(N)
+        assert np.all((0 <= keep) & (keep <= 1)) and np.all(keep[n_types:] == 0)
+        mass = (keep + np.bincount(alias, 1.0 - keep, minlength=N)) / N
+        assert np.abs(mass - want).max() <= 1e-15
+
+    @pytest.mark.parametrize("c, g, r", [(2, 3, 0), (2, 3, 1), (2, 3, 2), (0.5, 4, 3), (10, 2, 1)])
+    def test_row_table_is_the_g_table_then_the_r_table(self, c, g, r):
+        pmf = rates._sampling_masses(float(c))
+        W, N = pmf.size, math.comb(pmf.size + g - 1, g)
+        top, cells = rates._row_table(pmf.tobytes(), g, r)
+        g_top, g_cells = rates._alias_table(pmf.tobytes(), g)
+        assert np.array_equal(top[:N], g_top) and np.array_equal(cells[:, : 2 * N], g_cells)
+        assert top.size == (2 * N if r else N)
+        if r:
+            r_top, r_cells = rates._alias_table(pmf.tobytes(), r, N)
+            assert np.array_equal(top[N:], r_top)
+            assert np.array_equal(cells[:r, 2 * N :], r_cells)
+            assert np.all(cells[r:, 2 * N :] == W)
 
     @pytest.mark.parametrize("c", [0.5, 2, 10, 50])
     def test_single_draw_rows_follow_the_table(self, c):
@@ -506,27 +561,65 @@ class TestTypeSampler:
         se = np.sqrt(law * (1 - law) / n)
         assert np.all(np.abs(h.mean(axis=0) - law) <= 5 * se)
 
-    @pytest.mark.parametrize("c, last_alias_K", CROSSOVERS)
-    def test_sampler_rule_is_the_cost_rule(self, c, last_alias_K):
-        # alias-table rows up to the crossover, multinomial rows beyond it,
-        # each the chunk's substream drawn by that sampler in one batch; the
-        # crossover lies past the table width W, where the K <= W rule had it
+    @pytest.mark.parametrize("c, alias_up_to, last_alias_K", CROSSOVERS)
+    def test_sampler_rule_is_the_cost_rule(self, c, alias_up_to, last_alias_K):
+        # alias-table rows up to alias_up_to, multinomial rows past
+        # last_alias_K; between them the multinomial row's cost, which is not
+        # monotone in K, decides either way. Each is the chunk's substream
+        # drawn by that sampler in one batch. The crossovers lie far past the
+        # table width W, where the K <= W rule had them
         n = 3_000
         pmf = rates._sampling_masses(float(c))
         W = pmf.size
         picks = [rates._alias_rows(K, pmf) for K in range(1, 2001)]
-        assert picks == [K <= last_alias_K for K in range(1, 2001)]
-        assert last_alias_K > W
-        table = rates._alias_table(pmf.tobytes())
-        for K in (1, 10, W, W + 1, 31, 100, last_alias_K, last_alias_K + 1, 1000):
+        assert all(picks[:alias_up_to]) and not picks[alias_up_to]
+        assert picks[last_alias_K - 1] and not any(picks[last_alias_K:])
+        assert alias_up_to > 10 * W
+        for K in (1, 10, W, W + 1, 31, 100, alias_up_to, alias_up_to + 1, last_alias_K,
+                  last_alias_K + 1, 1000):
             drawn = np.vstack(list(rates._type_batches(7, 1, n, K, pmf)))
             assert np.all(drawn.sum(axis=1) == K)
-            rng = rates.substream(7, "outer-rate-mc", 1)
-            if K <= last_alias_K:
-                expected = slot_histograms(rates._alias_slots(rng, table[0], K, n), table[1], W)
+            if picks[K - 1]:
+                slots, cells = reference_slots(7, 1, n, K, pmf, rates._group_size(K, W))
+                expected = slot_histograms(slots, cells, W)
             else:
-                expected = rng.multinomial(K, pmf, size=n)
+                expected = rates.substream(7, "outer-rate-mc", 1).multinomial(K, pmf, size=n)
             assert np.array_equal(drawn, expected), K
+
+    @pytest.mark.parametrize(
+        "c, K, g", [(2, 99, 3), (2, 100, 3), (2, 101, 3), (10, 21, 2), (0.5, 31, 4), (0.5, 3, 4)]
+    )
+    def test_grouped_values_are_the_histogram_means(self, monkeypatch, c, K, g):
+        # g strands a draw with K % g = 0, 1, 2 or 3 single-strand draws after
+        # them, and a forced g past K, where every draw is single-strand: the
+        # estimator's values are _hist_means of the count matrix's rows
+        pmf = rates._sampling_masses(float(c))
+        W = pmf.size
+        if g > K:
+            monkeypatch.setattr(rates, "_group_size", lambda K, W: g)
+        assert rates._group_size(K, W) == g and rates._alias_rows(K, pmf)
+        gtab = rates.gated_capacity_table(0.1, W - 1, RIX1)
+        h = np.vstack(list(rates._type_batches(3, 0, 20_000, K, pmf)))
+        slots, cells = reference_slots(3, 0, 20_000, K, pmf, g)
+        assert np.array_equal(h, slot_histograms(slots, cells, W))
+        assert np.all(h.sum(axis=1) == K)
+        values = np.concatenate(list(rates._block_values(3, 0, 20_000, K, pmf, gtab)))
+        assert np.array_equal(bits(values), bits(rates._hist_means(h, gtab, K)))
+
+    def test_draws_come_from_the_module_substream(self):
+        # one rates.substream call per chunk, the binding the benchmark's
+        # tracer wraps, on both samplers and both consumers
+        params, seed, samples = params_for(2), 5, 2 * rates.MC_CHUNK + 7
+        for K in (100, 1000):
+            scheme = SchemeParams(K, RIX1, 0.5, 1.0)
+            with mock.patch.object(rates, "substream", wraps=rates.substream) as spy:
+                est = achievable_outer_rate_mc(params, scheme, samples, seed, threads=2)
+                counts = rates._sample_count_matrix(params, K, samples, seed, threads=2)
+            assert sorted(call.args for call in spy.call_args_list) == sorted(
+                [(seed, "outer-rate-mc", ci) for ci in range(3)] * 2
+            )
+            gtab = rates.gated_capacity_table(0.1, counts.shape[1] - 1, RIX1)
+            assert est.value == int((rates._hist_means(counts, gtab, K) > 0.5).sum()) / samples
 
     @pytest.mark.parametrize("c", [2, 10])
     def test_alias_estimate_matches_the_block_law(self, c):
@@ -555,11 +648,17 @@ class TestTypeSampler:
             (2, 7, 300),
             (2, 100, 20_000),
             (10, 300, 20_000),
+            (0.5, 31, 65_536),
+            (2, 101, 300),
         ],
     )
     def test_alias_batches_hold_no_more_than_a_multinomial_batch(self, c, K, n):
         # both consumers of alias rows: the count matrix's histograms and the
-        # estimator's block values, at points below and past W
+        # estimator's block values, at points below and past W, of single
+        # strands (c = 50) and of g strands a draw, with 0 to 3 single-strand
+        # draws after them. A batch places at most _ALIAS_DRAWS strands, with
+        # temporaries of _ALIAS_DRAW_BYTES a strand at most. The estimator's
+        # table of slot values is made with the iterator, before any batch
         pmf = rates._sampling_masses(float(c))
         W = pmf.size
         assert rates._alias_rows(K, pmf)
@@ -580,6 +679,9 @@ class TestTypeSampler:
                         break
                     temporaries = tracemalloc.get_traced_memory()[1] - before - h.nbytes
                     assert h.nbytes <= cell_bytes and temporaries <= cell_bytes
+                    assert len(h) * K <= rates._ALIAS_DRAWS
+                    # and a few small arrays per batch, whatever its size
+                    assert temporaries <= rates._ALIAS_DRAW_BYTES * len(h) * K + 4096
                     rows += len(h)
                     del h
             finally:
@@ -621,8 +723,20 @@ class TestTypeSampler:
 
 
 def slot_histograms(slots, cells, W):
-    """Reference histograms of alias-table slots, one bincount per row."""
-    return np.array([np.bincount(cells[row], minlength=W) for row in slots])
+    """Reference histograms of alias-table slots, one bincount per row of
+    their cells; the padding W of single-strand slots is dropped."""
+    return np.array([np.bincount(cells[:, row].ravel(), minlength=W + 1)[:W] for row in slots])
+
+
+def reference_slots(seed, chunk_index, n, K, pmf, g):
+    """(slots, cells) of one chunk's n rows drawn in one call: K // g draws
+    from the g-strand table, then one from the (K % g)-strand table."""
+    W = pmf.size
+    G, r = divmod(K, g)
+    top, cells = rates._row_table(pmf.tobytes(), g, r)
+    rng = rates.substream(seed, "outer-rate-mc", chunk_index)
+    slots = rates._alias_slots(rng, top, math.comb(W + g - 1, g), G, G + (r > 0), n)
+    return slots, cells
 
 
 def law_of(pmf):
